@@ -7,7 +7,8 @@ Prints ONE JSON line:
 
 Modes:
   python bench.py                      # full bench (owns ray.init)
-  python bench.py --scaling            # flagship at 8 vs 32 CPUs in fresh
+  python bench.py --scaling            # flagship at 4 vs 16 CPUs (set by
+                                       # GRAFT_SCALING_CPUS) in fresh
                                        # processes; prints both throughputs
                                        # + scaling efficiency
   python bench.py --ab GITREF          # same-day A/B: flagship points/sec
@@ -27,7 +28,9 @@ import sys
 import time
 
 SF_DIR = os.environ.get("GRAFT_SF_DIR", "/root/testdata/sf0.1")
-NUM_CPUS = int(os.environ.get("RAY_GRAFT_CPUS", "32"))
+# default: the CPUs this process may run on
+NUM_CPUS = int(os.environ.get("RAY_GRAFT_CPUS",
+                              len(os.sched_getaffinity(0))))
 # flagship token-table size: 1.6M docs (~230M tokens, ~230MB parquet).
 # Large enough that per-stage fixed costs are amortized (points/sec is
 # the headline metric); the deterministic table is generated once and

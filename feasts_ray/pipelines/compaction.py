@@ -187,8 +187,8 @@ def compact_flat(stage_dir: str | Path, data_subdir: str,
     """Compact a flat per-doc stage output (``features/points``,
     ``tokens_archive/blobs``) — these stages write one small parquet
     file per map batch for retry idempotence (same batch → same stem →
-    overwrite; docs/ROADMAP.md known-limitation #0), so a completed
-    stage holds corpus_rows / batch_size files. After completion the
+    overwrite), so a completed stage holds corpus_rows / batch_size
+    files. After completion the
     retry concern is gone and consecutive files bin-pack into
     ``target_bytes`` outputs, one bin per task.
 

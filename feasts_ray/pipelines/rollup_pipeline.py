@@ -1,17 +1,21 @@
 """Flagship pipeline: token table -> cascading retention tiers -> blobs.
 
-Dataflow (SURVEY.md §7.1, north rule), ONE shuffle per tier:
+Dataflow (SURVEY.md §7.1, north rule):
 
-  read_parquet(doc_id, n_tok, source)            # tokens column pruned
-    -> MB derive ts (pure fn of doc_id, source)  # zero-copy Arrow
-    -> MB partial rollup per (source, bucket)    # map-side combine
-    -> [materialize partials: small, enables span reduce + reuse]
-    -> driver reduce of per-batch span partials -> per-source [lo, hi]
+  raw tier (and any tier whose prior tier is >= CHAIN_BYTES), one shuffle:
+    read_parquet(doc_id, n_tok, source) | prior tier's points
+    -> MB derive ts + partial rollup | cascade re-bucket  # combine
     -> groupby(source, segment).map_groups fused TierSegmentKernel:
          merge partials + LOCAL gap-fill + mean + time sort + Gorilla
          encode (blobs written to partition-addressed files in-kernel)
-    -> write points parquet; _CHECKPOINT.json per tier (lineage+metrics)
-  cascade: tier[k+1] re-aggregates tier[k]'s points (never re-reads raw)
+    -> write points parquet; per-source [lo, hi] spans from raw points
+  remaining coarse tiers (1m -> 1h -> 1d): ONE task reads the prior
+    tier's points once and runs cascade + seeds + the same kernel tier
+    after tier in memory, writing each tier's points and blobs
+  _CHECKPOINT.json per tier, in tier order: a resume restarts the chain
+  at the first incomplete tier
+  fused doc stage (features + archive) runs BESIDE the tiers: built on
+    the calling thread, written on a background thread, joined at the end
 
 Why fused (vs the modular gap_fill/encode_tier stages kept for the query
 paths): Ray's groupby costs ~0.3 ms/group in Python, so grouping by
@@ -24,27 +28,29 @@ from __future__ import annotations
 
 import shutil
 import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
+import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.dataset as pads
 
+import ray
 import ray.data
 
-from ..config import RollupConfig, TIERS
+from ..config import RollupConfig
 from ..stages.bucketize import add_time_columns
 from ..stages.rollup import cascade_batch, partial_rollup_batch
-from ..stages.tier_kernel import run_tier, spans_from_partials
+from ..stages.tier_kernel import cascade_chain, run_tier, spans_from_partials
 from ..state import checkpoint as ckpt
+
+# prior-tier size under which the rest of the cascade runs in one task:
+# below it the groupby's all-to-all is pure fixed latency (~1 s/tier)
+CHAIN_BYTES = 32 << 20
 
 
 def _input_bytes(input_path: str) -> int:
-    import os
-
-    try:
-        return sum(os.path.getsize(os.path.join(input_path, f))
-                   for f in os.listdir(input_path) if f.endswith(".parquet"))
-    except (OSError, NotADirectoryError):
-        return 0
+    return sum(max(size, 0) for _, size in _file_inventory(input_path))
 
 
 def _input_rows(input_path) -> int:
@@ -92,8 +98,6 @@ def _points_part_span(cfg: RollupConfig, unit_s: int) -> int:
 
 def _add_seg_part(batch, part_span: int):
     """Append the hive partition column for the points write."""
-    import pyarrow as pa
-
     seg_part = batch["bucket"].to_numpy(zero_copy_only=False) // part_span
     return batch.append_column("seg_part", pa.array(seg_part, type=pa.int64()))
 
@@ -134,8 +138,6 @@ def read_points_range(
     10^12-sequence archive therefore opens O(day) partitions, not the
     whole tier.
     """
-    import pyarrow.dataset as pads
-
     cfg = cfg or RollupConfig()
     points_dir, _ = _tier_dirs(out_dir, tier_name)
     if columns is None:
@@ -147,8 +149,6 @@ def read_points_range(
     pruned = _range_part_dirs(points_dir, lo, hi,
                               _points_part_span(cfg, tier.unit_s))
     if not pruned:
-        import pyarrow as pa
-
         schema = pads.dataset(str(points_dir)).schema
         empty = pa.table({f.name: pa.array([], type=f.type) for f in schema})
         return ray.data.from_arrow(empty.select(columns))
@@ -156,8 +156,6 @@ def read_points_range(
     # directories (single dir paths are expanded, lists are not)
     paths = [str(f) for d in pruned
              for f in sorted(Path(d).glob("*.parquet"))]
-    import pyarrow.compute as pc
-
     expr = (pc.field("bucket") >= lo) & (pc.field("bucket") < hi)
     return ray.data.read_parquet(paths, columns=columns, filter=expr)
 
@@ -188,6 +186,13 @@ def _tier_dirs(out_dir: str, tier_name: str) -> tuple[Path, Path]:
     return base / "points", base / "blobs"
 
 
+def _clear(*dirs: Path) -> None:
+    """Remove a crashed attempt's partial output before a stage reruns."""
+    for d in dirs:
+        if d.exists():
+            shutil.rmtree(d)
+
+
 def _points_stats(points_dir: Path) -> tuple[int, int]:
     """(rows, watermark=max bucket) from parquet row-group stats — no scan."""
     dset = pads.dataset(str(points_dir))
@@ -204,83 +209,41 @@ def _points_stats(points_dir: Path) -> tuple[int, int]:
     return rows, (wm if wm is not None else -1)
 
 
-def run_token_features(input_path: str, out_dir: str, lineage: str) -> dict:
-    """Per-doc token-stream feature stage (north star: each doc's token
-    stream is a regular time series -> ACF / trend / season-strength
-    features). Zero shuffle; compute scales with total tokens."""
-    from ..stages.token_features import token_feature_table
-
-    feat_dir = Path(out_dir) / "features"
-    if ckpt.is_complete(feat_dir, lineage):
-        return ckpt.load_manifest(feat_dir)
-    points_dir = feat_dir / "points"
-    if points_dir.exists():
-        shutil.rmtree(points_dir)
+def _run_doc_stage(name: str, data: str, stage, columns: list[str],
+                   input_path: str, out_dir: str, lineage: str,
+                   rows_in: int) -> dict:
+    """One per-doc stage alone (the other is checkpointed or not asked
+    for): ``stage`` maps the input's ``columns`` to ``<name>/<data>``."""
+    stage_dir = Path(out_dir) / name
+    if ckpt.is_complete(stage_dir, lineage):
+        return ckpt.load_manifest(stage_dir)
+    _clear(stage_dir / data)
     t0 = time.perf_counter()
-    ds = ray.data.read_parquet(input_path, columns=["doc_id", "tokens", "source"])
-    feats = token_feature_table(ds)
-    feats.write_parquet(str(points_dir))
-    rows = pads.dataset(str(points_dir)).count_rows()
-    m = {"tier": "features", "lineage": lineage,
-         "rows_in": _input_rows(input_path), "rows_out": rows,
-         "points": rows, "wall_s": time.perf_counter() - t0,
-         "input": input_path}
-    ckpt.save_manifest(feat_dir, m)
-    return ckpt.load_manifest(feat_dir)
+    stage(ray.data.read_parquet(input_path, columns=columns)
+          ).write_parquet(str(stage_dir / data))
+    return _save_doc_manifest(out_dir, name, data, lineage=lineage,
+                              rows_in=rows_in, input=input_path,
+                              wall_s=time.perf_counter() - t0)
 
 
-def run_token_archive(input_path: str, out_dir: str, lineage: str) -> dict:
-    """Verified per-doc token-array compression (north-rule invariant:
-    a completed archive proves decode(encode(tokens)) == tokens for every
-    row — verify-on-write inside the kernel)."""
-    from ..stages.token_archive import archive_tokens
-
-    arch_dir = Path(out_dir) / "tokens_archive"
-    if ckpt.is_complete(arch_dir, lineage):
-        return ckpt.load_manifest(arch_dir)
-    blobs_dir = arch_dir / "blobs"
-    if blobs_dir.exists():
-        shutil.rmtree(blobs_dir)
-    t0 = time.perf_counter()
-    ds = ray.data.read_parquet(input_path, columns=["doc_id", "tokens",
-                                                    "n_tok", "source"])
-    archive_tokens(ds).write_parquet(str(blobs_dir))
-    rows = pads.dataset(str(blobs_dir)).count_rows()
-    m = {"tier": "tokens_archive", "lineage": lineage,
-         "rows_in": _input_rows(input_path), "rows_out": rows,
-         "points": rows, "bytes_blobs": ckpt.dir_bytes(blobs_dir),
-         "wall_s": time.perf_counter() - t0, "input": input_path}
-    ckpt.save_manifest(arch_dir, m)
-    return ckpt.load_manifest(arch_dir)
+def _save_doc_manifest(out_dir: str, name: str, data: str, **fields) -> dict:
+    """Checkpoint a written per-doc stage: ``fields``, rows and bytes."""
+    stage_dir = Path(out_dir) / name
+    rows = pads.dataset(str(stage_dir / data)).count_rows()
+    ckpt.save_manifest(stage_dir, dict(
+        fields, tier=name, rows_out=rows, points=rows,
+        bytes_blobs=ckpt.dir_bytes(stage_dir / data)))
+    return ckpt.load_manifest(stage_dir)
 
 
-def run_token_features_and_archive(input_path: str, out_dir: str,
-                                   lineage: str) -> dict[str, dict]:
-    """Fused single-scan variant of run_token_features + run_token_archive:
-    both stages are per-doc and need the large tokens column, so a fresh
-    run reads the corpus ONCE and computes both (see stages/doc_fused.py).
-    If either stage is already checkpointed, only the other runs (via its
-    standalone runner) — resume semantics are unchanged."""
+def _fused_doc_dataset(input_path: str, out_dir: str) -> "ray.data.Dataset":
+    """Features + archive in one scan of the tokens column, as a lazy
+    Dataset of archive blobs; features are side-written by the kernel
+    (see stages/doc_fused.py)."""
     from ..stages.doc_fused import fused_doc_batch
 
-    feat_dir = Path(out_dir) / "features"
-    arch_dir = Path(out_dir) / "tokens_archive"
-    feat_done = ckpt.is_complete(feat_dir, lineage)
-    arch_done = ckpt.is_complete(arch_dir, lineage)
-    if feat_done or arch_done:
-        return {
-            "features": (ckpt.load_manifest(feat_dir) if feat_done
-                         else run_token_features(input_path, out_dir, lineage)),
-            "tokens_archive": (ckpt.load_manifest(arch_dir) if arch_done
-                               else run_token_archive(input_path, out_dir,
-                                                      lineage)),
-        }
-    points_dir = feat_dir / "points"
-    blobs_dir = arch_dir / "blobs"
-    for d in (points_dir, blobs_dir):
-        if d.exists():
-            shutil.rmtree(d)
-    t0 = time.perf_counter()
+    points_dir = Path(out_dir) / "features" / "points"
+    _clear(points_dir, Path(out_dir) / "tokens_archive" / "blobs")
     ds = ray.data.read_parquet(input_path, columns=["doc_id", "tokens",
                                                     "n_tok", "source"])
     # batch_size: BEFORE the kernels tiled internally, big batches
@@ -292,51 +255,75 @@ def run_token_features_and_archive(input_path: str, out_dir: str,
     # sweep on 12M docs: 2048 32.0/33.5/33.9 s, 4096 28.8/30.4/31.7 s,
     # 8192 25.7/31.7/26.7 s (fastest or tied every round); 16384 was
     # no better than 8192 in the wider sweep.
-    ds.map_batches(
+    return ds.map_batches(
         fused_doc_batch, batch_format="pyarrow", batch_size=8192,
-        fn_kwargs={"features_dir": str(points_dir)},
-    ).write_parquet(str(blobs_dir))
-    wall = time.perf_counter() - t0
-    feat_rows = pads.dataset(str(points_dir)).count_rows()
-    arch_rows = pads.dataset(str(blobs_dir)).count_rows()
-    rows_in = _input_rows(input_path)
-    m_feat = {"tier": "features", "lineage": lineage, "rows_in": rows_in,
-              "rows_out": feat_rows,
-              "points": feat_rows, "wall_s": wall, "fused_scan": True,
+        fn_kwargs={"features_dir": str(points_dir)})
+
+
+def run_token_features_and_archive(docs: "ray.data.Dataset", input_path: str,
+                                   out_dir: str, lineage: str,
+                                   rows_in: int) -> dict[str, dict]:
+    """Write the fused doc stage ``docs`` (``_fused_doc_dataset``) and save
+    both manifests. It runs beside the tiers, so its one wall is recorded
+    once, in the features manifest, marked as overlapping them."""
+    t0 = time.perf_counter()
+    docs.write_parquet(str(Path(out_dir) / "tokens_archive" / "blobs"))
+    common = {"lineage": lineage, "rows_in": rows_in, "fused_scan": True,
               "input": input_path}
-    m_arch = {"tier": "tokens_archive", "lineage": lineage,
-              "rows_in": rows_in,
-              "rows_out": arch_rows, "points": arch_rows,
-              "bytes_blobs": ckpt.dir_bytes(blobs_dir), "wall_s": wall,
-              "fused_scan": True, "input": input_path}
-    ckpt.save_manifest(feat_dir, m_feat)
-    ckpt.save_manifest(arch_dir, m_arch)
-    return {"features": ckpt.load_manifest(feat_dir),
-            "tokens_archive": ckpt.load_manifest(arch_dir)}
+    return {"features": _save_doc_manifest(
+                out_dir, "features", "points", **common,
+                wall_s=time.perf_counter() - t0, overlapped_tiers=True),
+            "tokens_archive": _save_doc_manifest(
+                out_dir, "tokens_archive", "blobs", **common,
+                wall_s_in="features")}
 
 
-def run_rollup(
-    input_path: str,
-    out_dir: str,
-    cfg: RollupConfig | None = None,
-    encode: bool = True,
-    token_features: bool = False,
-    token_archive: bool = False,
-) -> dict[str, dict]:
-    """Run (or resume) the full tier cascade. Returns per-tier metrics."""
-    cfg = cfg or RollupConfig()
-    cfg_dict = _cfg_dict(cfg, encode)
-    inventory = _file_inventory(input_path)
-    lineage = ckpt.lineage_hash(input_path, cfg_dict, inventory=inventory)
+@ray.remote
+def _coarse_chain(prev_points: str, out_dir: str, tiers, cfg: RollupConfig,
+                  spans: dict, encode: bool) -> list[float]:
+    """Every remaining coarse tier in one task: read the prior tier's
+    points once, run ``cascade_chain``, write each tier's points (the
+    seg_part layout of ``write_tier_points``) and blobs. Returns each
+    tier's wall; the driver saves the manifests, in tier order."""
+    points = pads.dataset(prev_points).to_table(
+        columns=[cfg.series_key, "bucket", "count", *cfg.partial_cols])
+    dirs = [_tier_dirs(out_dir, t.name) for t in tiers]
+    _clear(*(d for pair in dirs for d in pair))
+    chain = cascade_chain(points, tiers,
+                          [str(b) if encode else None for _, b in dirs],
+                          cfg.segment_points, spans, cfg.gap_fill,
+                          cfg.series_key, cfg.measures)
+    walls, t0 = [], time.perf_counter()
+    for tier, (points_dir, _), out in zip(tiers, dirs, chain):
+        pads.write_dataset(
+            _add_seg_part(out, _points_part_span(cfg, tier.unit_s)),
+            points_dir, format="parquet", partitioning=["seg_part"],
+            partitioning_flavor="hive", use_threads=False)
+        walls.append(time.perf_counter() - t0)
+        t0 = time.perf_counter()
+    return walls
+
+
+def _save_tier_manifest(out_dir: str, tier_name: str, **fields) -> dict:
+    """Checkpoint a written tier: ``fields``, points, watermark, bytes."""
+    points_dir, blobs_dir = _tier_dirs(out_dir, tier_name)
+    rows, watermark = _points_stats(points_dir)
+    ckpt.save_manifest(points_dir.parent, dict(
+        fields, tier=tier_name, rows_out=rows, points=rows,
+        watermark=watermark, bytes_blobs=ckpt.dir_bytes(blobs_dir)))
+    return ckpt.load_manifest(points_dir.parent)
+
+
+def _run_tiers(input_path: str, out_dir: str, cfg: RollupConfig,
+               encode: bool, lineage: str, rows_in: int) -> dict[str, dict]:
+    """Build (or resume) every tier; returns each tier's manifest."""
     metrics: dict[str, dict] = {}
     prev_points: Path | None = None
     spans: dict | None = None
-
     for k, tier in enumerate(cfg.tiers):
         points_dir, blobs_dir = _tier_dirs(out_dir, tier.name)
         if ckpt.is_complete(points_dir.parent, lineage):
-            m = ckpt.load_manifest(points_dir.parent)
-            metrics[tier.name] = m
+            metrics[tier.name] = ckpt.load_manifest(points_dir.parent)
             if spans is None:
                 # run-level parquet sidecar (written once per run) — NOT
                 # inlined into each manifest: at 10^7 sources the inline
@@ -344,10 +331,19 @@ def run_rollup(
                 spans = ckpt.load_spans(out_dir, lineage)
             prev_points = points_dir
             continue
-        # stale partial output from a crashed attempt: clear before rerun
-        for d in (points_dir, blobs_dir):
-            if d.exists():
-                shutil.rmtree(d)
+        prev_bytes = ckpt.dir_bytes(prev_points) if k else 0
+        if k and prev_bytes < CHAIN_BYTES:
+            walls = ray.get(_coarse_chain.remote(
+                str(prev_points), out_dir, cfg.tiers[k:], cfg, spans or {},
+                encode))
+            for prev, t, wall in zip(cfg.tiers[k - 1:], cfg.tiers[k:], walls):
+                metrics[t.name] = _save_tier_manifest(
+                    out_dir, t.name, lineage=lineage, wall_s=wall,
+                    rows_in=metrics[prev.name]["rows_out"], chained=True,
+                    input=str(_tier_dirs(out_dir, prev.name)[0]),
+                    n_sources=len(spans or {}))
+            break
+        _clear(points_dir, blobs_dir)
         t0 = time.perf_counter()
         if k == 0:
             ds = read_token_table(
@@ -378,26 +374,15 @@ def run_rollup(
             if sort_nblk < read_nblk:
                 ds = ds.repartition(sort_nblk)
         else:
-            assert prev_points is not None
             # Size read blocks to ~128 MB (floor: one per CPU): the finer
             # tier wrote one small file per kernel task, and inheriting
             # 100+ KB-sized blocks makes the next shuffle pure scheduling
             # overhead (measured: 1m tier sort 17.7 s for 11 MB of rows).
-            import ray as _ray
-
-            cpus = (int(_ray.cluster_resources().get("CPU", 8))
-                    if _ray.is_initialized() else 8)
-            prev_bytes = ckpt.dir_bytes(prev_points)
-            # tiny-tier fast path: when the prior tier's points fit well
-            # under one block, the groupby all-to-all is pure fixed
-            # latency — run_tier(single_block=True) applies the same
-            # kernel inside ONE coalesced block instead (zero shuffle)
-            single = prev_bytes < (32 << 20)
-            nblk = 1 if single else max(cpus, prev_bytes // (128 << 20))
             ds = ray.data.read_parquet(
                 str(prev_points),
                 columns=[cfg.series_key, "bucket", "count", *cfg.partial_cols],
-                override_num_blocks=nblk,
+                override_num_blocks=max(_cluster_cpus(),
+                                        prev_bytes // (128 << 20)),
             ).map_batches(
                 cascade_batch, batch_format="pyarrow",
                 fn_kwargs={"unit_s": tier.unit_s, "measures": cfg.measures}
@@ -420,7 +405,6 @@ def run_rollup(
             spans or {}, gap_fill=tier_gap_fill,
             blobs_dir=str(blobs_dir) if encode else None,
             key_col=cfg.series_key,
-            single_block=(k > 0 and single),
             measures=cfg.measures,
         )
         # The next tier re-reads this tier's parquet. Measured:
@@ -441,32 +425,61 @@ def run_rollup(
                                       columns=[cfg.series_key, "bucket"]),
                 key_col=cfg.series_key)
             ckpt.save_spans(out_dir, spans, lineage)
-        rows, watermark = _points_stats(points_dir)
-        blob_bytes = ckpt.dir_bytes(blobs_dir) if encode else 0
-        wall = time.perf_counter() - t0
-        m = {
-            "tier": tier.name,
-            "lineage": lineage,
-            "rows_in": _input_rows(input_path if k == 0 else str(prev_points)),
-            "rows_out": rows,
-            "points": rows,
-            "bytes_blobs": blob_bytes,
-            "watermark": watermark,
-            "wall_s": wall,
-            "input": input_path if k == 0 else str(prev_points),
-            "n_sources": len(spans),
-        }
-        ckpt.save_manifest(points_dir.parent, m)
-        metrics[tier.name] = ckpt.load_manifest(points_dir.parent)
+        metrics[tier.name] = _save_tier_manifest(
+            out_dir, tier.name, lineage=lineage,
+            wall_s=time.perf_counter() - t0,
+            rows_in=(rows_in if k == 0
+                     else metrics[cfg.tiers[k - 1].name]["rows_out"]),
+            input=input_path if k == 0 else str(prev_points),
+            n_sources=len(spans))
         prev_points = points_dir
-    if token_features and token_archive:
-        # both per-doc stages need the tokens column: one fused scan
-        metrics.update(
-            run_token_features_and_archive(input_path, out_dir, lineage))
-    elif token_features:
-        metrics["features"] = run_token_features(input_path, out_dir, lineage)
-    elif token_archive:
-        metrics["tokens_archive"] = run_token_archive(input_path, out_dir, lineage)
+    return metrics
+
+
+def run_rollup(
+    input_path: str,
+    out_dir: str,
+    cfg: RollupConfig | None = None,
+    encode: bool = True,
+    token_features: bool = False,
+    token_archive: bool = False,
+) -> dict[str, dict]:
+    """Run (or resume) the full tier cascade. Returns per-tier metrics."""
+    cfg = cfg or RollupConfig()
+    cfg_dict = _cfg_dict(cfg, encode)
+    inventory = _file_inventory(input_path)
+    lineage = ckpt.lineage_hash(input_path, cfg_dict, inventory=inventory)
+    rows_in = _input_rows(input_path)
+    fused = token_features and token_archive and not any(
+        ckpt.is_complete(Path(out_dir) / d, lineage)
+        for d in ("features", "tokens_archive"))
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        # A fresh fused doc stage runs beside the tiers. Its Dataset is
+        # built on this thread: Ray's path resolution imports fsspec
+        # lazily, which fails when two threads do it at once. Leaving the
+        # `with` joins the write, also when a tier raises.
+        doc_stage = pool.submit(
+            run_token_features_and_archive,
+            _fused_doc_dataset(input_path, out_dir), input_path, out_dir,
+            lineage, rows_in) if fused else None
+        metrics = _run_tiers(input_path, out_dir, cfg, encode, lineage,
+                             rows_in)
+    if doc_stage is not None:
+        metrics.update(doc_stage.result())
+    # per-doc stages not run above: token-stream features and the
+    # verified token archive (decode(encode(tokens)) == tokens per row)
+    from ..stages.token_archive import archive_tokens
+    from ..stages.token_features import token_feature_table
+
+    for name, data, stage, cols, wanted in (
+            ("features", "points", token_feature_table,
+             ["doc_id", "tokens", "source"], token_features),
+            ("tokens_archive", "blobs", archive_tokens,
+             ["doc_id", "tokens", "n_tok", "source"], token_archive)):
+        if wanted and name not in metrics:
+            metrics[name] = _run_doc_stage(name, data, stage, cols,
+                                           input_path, out_dir, lineage,
+                                           rows_in)
     # record the processed file set so a later run_rollup_incremental can
     # diff inventories and fold in only the files added since this run
     from .incremental import save_ingest_state

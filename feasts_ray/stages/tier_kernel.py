@@ -6,7 +6,8 @@ per group — fatal when the grouping key is (source, bucket) with millions
 of groups. Grouping by (source, segment) instead gives bounded-size
 groups (<= SEGMENT_POINTS buckets, the segment is also the anti-skew
 salt) and a group count 4096x smaller, and the per-group work is fully
-vectorized pandas/numpy. One shuffle per tier, total.
+vectorized numpy. At most one shuffle per tier; tiers whose input is
+a few MB run back to back in one task with no shuffle (cascade_chain).
 
 Gap-fill becomes LOCAL: the per-source bucket domain [lo, hi] is known
 from a driver-side reduce of per-batch span partials (O(#sources),
@@ -38,7 +39,6 @@ from __future__ import annotations
 from pathlib import Path
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pyarrow.parquet as pq
 
@@ -46,6 +46,7 @@ import ray
 import ray.data
 
 from ..codecs import encode_ints, encode_nullable_floats, encode_nullable_ints
+from .rollup import cascade_batch
 
 # shared per-process broadcast-resolve LRU (moved to state/broadcast.py
 # so the dedup/ANN corpus-scan task pools reuse the same pattern)
@@ -53,8 +54,6 @@ from ..state.broadcast import (  # noqa: E402
     resolve_broadcast as _resolve_broadcast,
     put_once as _put_once,
 )
-
-POINT_COLS = ("count", "sum", "min", "max")
 
 
 def measure_suffixes(measures: tuple[str, ...] | None) -> tuple[str, ...]:
@@ -84,45 +83,54 @@ def spans_from_partials(ds: "ray.data.Dataset", key_col: str = "source") -> dict
     return {k: (int(r.lo), int(r.hi)) for k, r in agg.iterrows()}
 
 
+def _seed_index(spans: dict[str, tuple[int, int]], unit_s: int,
+                seg_span: int) -> tuple:
+    """(keys, floored span starts, first segments, seed-id offsets) for
+    one seed per expected (key, segment); ``[3][-1]`` is the seed count."""
+    keys = sorted(spans)
+    lo = np.array([(spans[k][0] // unit_s) * unit_s for k in keys], dtype=np.int64)
+    hi = np.array([spans[k][1] for k in keys], dtype=np.int64)
+    seg_lo = lo // seg_span
+    n_segs = (hi // seg_span) - seg_lo + 1
+    starts = np.concatenate([[0], np.cumsum(n_segs)]).astype(np.int64)
+    return np.array(keys, dtype=object), lo, seg_lo, starts
+
+
+def _seed_rows(batch: dict, index, seg_span: int, key_col: str,
+               sfx: tuple[str, ...]) -> pa.Table:
+    """Seed rows ``batch["id"]`` of ``_seed_index`` (``index`` or its
+    broadcast ref): pure gaps, zero count and null min/max."""
+    keys_arr, lo, seg_lo, starts = _resolve_broadcast(index)
+    ids = batch["id"].astype(np.int64)
+    ki = np.searchsorted(starts[1:], ids, side="right")
+    seg = seg_lo[ki] + (ids - starts[ki])
+    bucket = np.maximum(seg * seg_span, lo[ki])
+    n = len(ids)
+    cols = {
+        key_col: pa.array(keys_arr[ki]),
+        "bucket": pa.array(bucket, type=pa.int64()),
+        "count": pa.array(np.zeros(n, dtype=np.int64)),
+    }
+    for s in sfx:
+        cols[f"sum{s}"] = pa.array(np.zeros(n, dtype=np.int64))
+        cols[f"min{s}"] = pa.nulls(n, type=pa.int64())
+        cols[f"max{s}"] = pa.nulls(n, type=pa.int64())
+    return pa.table(cols)
+
+
 def skeleton_rows(spans: dict[str, tuple[int, int]], unit_s: int,
                   seg_span: int, key_col: str = "source",
                   measures: tuple[str, ...] | None = None) -> "ray.data.Dataset":
     """One seed row per expected (source, segment) so empty segments still
     form groups. Generated distributively from ray.data.range — no giant
     driver list even with 10^8 segments."""
-    sfx = measure_suffixes(measures)
-    keys = sorted(spans)
-    lo = np.array([(spans[k][0] // unit_s) * unit_s for k in keys], dtype=np.int64)
-    hi = np.array([spans[k][1] for k in keys], dtype=np.int64)
-    seg_lo = lo // seg_span
-    n_segs = (hi // seg_span) - seg_lo + 1
-    starts = np.concatenate([[0], np.cumsum(n_segs)])
-    total = int(starts[-1])
-    keys_arr = np.array(keys, dtype=object)
+    index = _seed_index(spans, unit_s, seg_span)
     # O(#sources) lookup arrays ship once via the object store, not in
     # every task's closure
-    tables_ref = _put_once((keys_arr, lo, seg_lo, starts))
-
-    def _emit(batch: dict) -> pa.Table:
-        keys_arr, lo, seg_lo, starts = _resolve_broadcast(tables_ref)
-        ids = batch["id"].astype(np.int64)
-        ki = np.searchsorted(starts[1:], ids, side="right")
-        seg = seg_lo[ki] + (ids - starts[ki])
-        bucket = np.maximum(seg * seg_span, lo[ki])
-        n = len(ids)
-        cols = {
-            key_col: pa.array(keys_arr[ki]),
-            "bucket": pa.array(bucket, type=pa.int64()),
-            "count": pa.array(np.zeros(n, dtype=np.int64)),
-        }
-        for s in sfx:
-            cols[f"sum{s}"] = pa.array(np.zeros(n, dtype=np.int64))
-            cols[f"min{s}"] = pa.nulls(n, type=pa.int64())
-            cols[f"max{s}"] = pa.nulls(n, type=pa.int64())
-        return pa.table(cols)
-
-    return ray.data.range(total).map_batches(_emit, batch_format="numpy",
-                                             batch_size=65536)
+    return ray.data.range(int(index[3][-1])).map_batches(
+        _seed_rows, batch_format="numpy", batch_size=65536,
+        fn_kwargs={"index": _put_once(index), "seg_span": seg_span,
+                   "key_col": key_col, "sfx": measure_suffixes(measures)})
 
 
 def add_segment(batch: pa.Table, seg_span: int) -> pa.Table:
@@ -176,8 +184,7 @@ class TierSegmentKernel:
     def __call__(self, group: pa.Table) -> pa.Table:
         key = group[self.key_col][0].as_py()
         bkt = _col_i64(group["bucket"])
-        seg = int(group["segment"][0].as_py()) \
-            if "segment" in group.column_names else int(bkt[0] // self.seg_span)
+        seg = int(bkt[0] // self.seg_span)
         # merge duplicate buckets (partials + skeleton seeds): one numpy
         # sort + reduceat per group instead of a pandas groupby/agg (the
         # per-group pandas machinery dominated the kernel at small group
@@ -287,20 +294,11 @@ def run_tier(
     gap_fill: bool,
     blobs_dir: str | None,
     key_col: str = "source",
-    concurrency=(1, 16),
-    single_block: bool = False,
     skeleton: bool = True,
     measures: tuple[str, ...] | None = None,
 ) -> "ray.data.Dataset":
     """partials (key,bucket,count,sum,min,max) -> final tier points; the
     ONE shuffle is groupby(key, segment) with bounded groups.
-
-    ``single_block=True`` is the tiny-tier fast path: coarse cascade
-    tiers re-aggregate a few MB of the prior tier's points, where the
-    groupby's all-to-all is pure fixed latency (~1 s/tier). The caller
-    asserts smallness (bytes threshold on the prior tier's output);
-    the IDENTICAL kernel then runs per (key, segment) group inside one
-    coalesced block — same output, zero shuffle.
 
     ``skeleton=False`` skips the per-(key, segment) seed generation:
     the selective incremental merge provides seeds for exactly the
@@ -322,41 +320,6 @@ def run_tier(
     kernel = TierSegmentKernel(tier_name, unit_s, seg_span,
                                _put_once(spans) if gap_fill else {},
                                gap_fill, blobs_dir, key_col, measures)
-    if single_block:
-        def _whole(t: pa.Table) -> pa.Table:
-            if len(t) == 0:
-                cols = {
-                    key_col: pa.array([], type=pa.string()),
-                    "bucket": pa.array([], type=pa.int64()),
-                    "count": pa.array([], type=pa.int64()),
-                }
-                for x in measure_suffixes(measures):
-                    cols[f"sum{x}"] = pa.array([], type=pa.int64())
-                    cols[f"min{x}"] = pa.array([], type=pa.float64())
-                    cols[f"max{x}"] = pa.array([], type=pa.float64())
-                    cols[f"mean{x}"] = pa.array([], type=pa.float64())
-                return pa.table(cols)
-            # group boundaries via one stable lexsort over (key, segment);
-            # each group is a zero-copy table slice into the same kernel
-            # the distributed path runs
-            t = t.combine_chunks()
-            kcodes = t[key_col].dictionary_encode().combine_chunks().indices \
-                .to_numpy(zero_copy_only=False).astype(np.int64)
-            segs = _col_i64(t["segment"])
-            order = np.lexsort((segs, kcodes))
-            ks, ss = kcodes[order], segs[order]
-            first = np.empty(len(ks), dtype=bool)
-            first[:1] = True
-            first[1:] = (ks[1:] != ks[:-1]) | (ss[1:] != ss[:-1])
-            bounds = np.append(np.flatnonzero(first), len(ks))
-            sorted_t = t.take(pa.array(order))
-            return pa.concat_tables(
-                [kernel(sorted_t.slice(bounds[i], bounds[i + 1] - bounds[i]))
-                 for i in range(len(bounds) - 1)],
-                promote_options="permissive")
-
-        return with_seg.repartition(1).map_batches(
-            _whole, batch_format="pyarrow", batch_size=None)
     # segment-major grouping: map_groups sorts by the key tuple, so the
     # output blocks are TIME-contiguous — each write block then lands in
     # O(1) seg_part dirs of the partitioned points sink instead of
@@ -365,3 +328,39 @@ def run_tier(
     return with_seg.groupby(["segment", key_col]).map_groups(
         kernel.__call__, batch_format="pyarrow",
     )
+
+
+def cascade_chain(points: pa.Table, tiers, blobs_dirs, segment_points: int,
+                  spans: dict[str, tuple[int, int]], gap_fill: bool,
+                  key_col: str = "source",
+                  measures: tuple[str, ...] | None = None):
+    """Coarse tiers back to back in memory, zero shuffle: the finer tier's
+    ``points`` re-bucket into ``tiers[0]``, whose output feeds
+    ``tiers[1]``...; yields each tier's points. Every (key, segment) group
+    runs the kernel of the groupby path, so the point sets are identical."""
+    sfx = measure_suffixes(measures)
+    for tier, blobs_dir in zip(tiers, blobs_dirs):
+        seg_span = segment_points * tier.unit_s
+        tier_gap_fill = gap_fill and tier.gap_fill
+        t = cascade_batch(points, tier.unit_s, measures)
+        if tier_gap_fill:
+            index = _seed_index(spans, tier.unit_s, seg_span)
+            t = pa.concat_tables(
+                [t, _seed_rows({"id": np.arange(index[3][-1])}, index,
+                               seg_span, key_col, sfx)],
+                promote_options="permissive")
+        kernel = TierSegmentKernel(tier.name, tier.unit_s, seg_span, spans,
+                                   tier_gap_fill, blobs_dir, key_col, measures)
+        # groups in (segment, key) order, as the groupby path emits them,
+        # whatever the input's row order; each is a zero-copy slice
+        t = add_segment(t, seg_span).sort_by(
+            [("segment", "ascending"), (key_col, "ascending")])
+        segs = _col_i64(t["segment"])
+        keys = t[key_col].combine_chunks().dictionary_encode().indices \
+            .to_numpy(zero_copy_only=False)
+        cuts = np.flatnonzero((segs[1:] != segs[:-1]) | (keys[1:] != keys[:-1]))
+        bounds = np.concatenate([[0], cuts + 1, [len(t)]])
+        points = pa.concat_tables(
+            [kernel(t.slice(lo, hi - lo)) for lo, hi in zip(bounds, bounds[1:])],
+            promote_options="permissive")
+        yield points

@@ -100,18 +100,27 @@ def word_freq_topk_heavy(ds: "ray.data.Dataset", k: int = 50,
         vc = words.value_counts()
         w = vc.field("values")
         c = vc.field("counts").to_numpy(zero_copy_only=False)
-        if len(c) > capacity:
+        pruned = len(c) > capacity
+        if pruned:
             # Misra-Gries decrement: keep items whose count exceeds the
             # (capacity+1)-th largest (all retained counters stay
             # >= count - threshold > 0); survivor bound still holds
             # because local count > N_b/capacity implies survival
             thr = np.partition(c, len(c) - capacity - 1)[len(c) - capacity - 1]
             w = w.filter(pa.array(c > thr))
-        return pa.table({"word": w})
+        # a null word marks a batch that pruned (it may keep no survivor)
+        return pa.table({"word": pa.concat_arrays(
+            [w.cast(pa.string()), pa.nulls(int(pruned), pa.string())])})
 
     surv = ds.map_batches(_mg_survivors, batch_format="pyarrow").to_pandas()
     # N (total tokens) is recomputed exactly in the recount pass
-    candidates = sorted(set(surv["word"]))
+    candidates = sorted(set(surv["word"].dropna()))
+    if surv["word"].isna().any() and len(candidates) < k:
+        # pruned words may belong in the top-k, and fewer than k
+        # candidates leave no k-th count to certify against
+        raise ValueError(
+            f"top-{k} not certified exact: only {len(candidates)} "
+            f"candidates survived pruning; raise capacity")
     cand_ref = _ray.put(candidates)
 
     def _recount(batch: pa.Table) -> pa.Table:
@@ -624,7 +633,7 @@ def winsorize_by_group(ds: "ray.data.Dataset", value_col: str,
     shuffled. Clipping SELECTS existing values (no arithmetic), so the
     LEAST/GREATEST SQL oracle matches bit-exactly for any dtype."""
     from ..stages.quantiles import group_quantiles_hist
-    from ..state.broadcast import put_once, resolve_broadcast
+    from ..state.broadcast import put_once
 
     lo_col = f"p{round(q_lo * 1000):03d}"
     hi_col = f"p{round(q_hi * 1000):03d}"
@@ -634,20 +643,28 @@ def winsorize_by_group(ds: "ray.data.Dataset", value_col: str,
     ref = put_once({k: (lo, hi) for k, lo, hi in
                     zip(thr[key_col], thr[lo_col], thr[hi_col])})
 
-    def _clip(batch: pa.Table) -> pa.Table:
-        by_key = resolve_broadcast(ref)
-        enc = batch[key_col].combine_chunks().dictionary_encode()
-        # only the (few) distinct strata cross into Python
-        bounds = np.array([by_key[v] for v in enc.dictionary.to_pylist()])
-        codes = enc.indices.to_numpy(zero_copy_only=False)
-        v = batch[value_col].to_numpy(zero_copy_only=False)
-        clipped = np.minimum(np.maximum(v, bounds[codes, 0]),
-                             bounds[codes, 1])
-        return batch.append_column(
-            f"{value_col}_winsor",
-            pa.array(clipped, type=batch.schema.field(value_col).type))
+    return ds.map_batches(_winsor_clip, batch_format="pyarrow", fn_kwargs={
+        "bounds": ref, "key_col": key_col, "value_col": value_col})
 
-    return ds.map_batches(_clip, batch_format="pyarrow")
+
+def _winsor_clip(batch: pa.Table, bounds, key_col: str,
+                 value_col: str) -> pa.Table:
+    """``winsorize_by_group``'s per-batch clip; ``bounds`` maps each
+    stratum to its (lo, hi) (a broadcast ref or a plain dict)."""
+    from ..state.broadcast import resolve_broadcast
+
+    by_key = resolve_broadcast(bounds)
+    enc = batch[key_col].combine_chunks().dictionary_encode()
+    # only the (few) distinct strata cross into Python; reshape keeps a
+    # zero-row batch's empty bounds 2-D
+    lohi = np.array([by_key[v] for v in enc.dictionary.to_pylist()]
+                    ).reshape(-1, 2)
+    codes = enc.indices.to_numpy(zero_copy_only=False)
+    v = batch[value_col].to_numpy(zero_copy_only=False)
+    clipped = np.minimum(np.maximum(v, lohi[codes, 0]), lohi[codes, 1])
+    return batch.append_column(
+        f"{value_col}_winsor",
+        pa.array(clipped, type=batch.schema.field(value_col).type))
 
 
 def robust_zscore_by_group(ds: "ray.data.Dataset", value_col: str,
@@ -1098,10 +1115,14 @@ def histogram_int(ds: "ray.data.Dataset", value_col: str,
     Scale shape: one Min/Max aggregate fixes the edges; one corpus scan
     emits per-batch bincount partials (<= ``bins`` rows per batch); a
     ``bins``-sized groupby Sum finalizes. The corpus is never
-    shuffled."""
+    shuffled. An empty input or an all-null column has no edges and
+    raises ValueError."""
     from ray.data.aggregate import Max, Min
 
     mm = ds.aggregate(Min(value_col), Max(value_col))
+    if mm[f"min({value_col})"] is None:
+        raise ValueError(f"histogram_int: {value_col!r} has no non-null "
+                         "value (empty input or all-null column)")
     lo = int(mm[f"min({value_col})"])
     hi = int(mm[f"max({value_col})"])
     width = max((hi - lo + bins) // bins, 1)

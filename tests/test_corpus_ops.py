@@ -783,6 +783,13 @@ class TestHistogramInt:
         assert got["bin"].iloc[0] == 0 and got["n"].iloc[0] == 50
         assert got["bin_lo"].iloc[0] == 7 and got["bin_hi"].iloc[0] == 7
 
+    def test_empty_and_all_null_raise(self, ray_session):
+        from feasts_ray.text.corpus import histogram_int
+
+        for v in (pa.array([], pa.int64()), pa.nulls(5, pa.int64())):
+            with pytest.raises(ValueError, match="no non-null value"):
+                histogram_int(ray.data.from_arrow(pa.table({"v": v})), "v")
+
 
 class TestDeterministicShuffleRank:
     def test_matches_duckdb(self, docs_ds):
@@ -1110,6 +1117,15 @@ class TestSampleKPerGroup:
 
 
 class TestWinsorizeByGroup:
+    def test_zero_row_batch_passes_through(self):
+        from feasts_ray.text.corpus import _winsor_clip
+
+        batch = pa.table({"lang": pa.array([], pa.string()),
+                          "n": pa.array([], pa.int64())})
+        got = _winsor_clip(batch, {"en": (1, 5)}, "lang", "n")
+        assert got.num_rows == 0
+        assert got.schema.field("n_winsor").type == pa.int64()
+
     def test_matches_duckdb(self, docs_ds):
         from feasts_ray.text.analysis import add_token_counts
         from feasts_ray.text.corpus import winsorize_by_group
@@ -1253,6 +1269,16 @@ class TestWordFreqTopkHeavy:
         heavy = word_freq_topk_heavy(docs_ds, k=20, capacity=4096)
         pd.testing.assert_frame_equal(heavy.reset_index(drop=True),
                                       exact.reset_index(drop=True))
+
+    def test_pruned_with_fewer_than_k_candidates_refuses(self, ray_session):
+        """One doc 'a' x10, 'b', 'c' with k=3, capacity=2: the batch
+        prunes b and c, leaving one candidate. A top-3 of one row is not
+        the exact top-3, so the certificate must refuse it."""
+        from feasts_ray.text.corpus import word_freq_topk_heavy
+
+        ds = ray.data.from_items([{"text": "a " * 10 + "b c"}])
+        with pytest.raises(ValueError, match="not certified exact"):
+            word_freq_topk_heavy(ds, k=3, capacity=2)
 
     def test_small_capacity_refuses_instead_of_degrading(self, docs_ds):
         from feasts_ray.text.corpus import word_freq_topk_heavy

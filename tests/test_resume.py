@@ -23,6 +23,7 @@ ray.init(address="local", num_cpus=4, include_dashboard=False, logging_level="ER
 sys.path.insert(0, {repo!r})
 from feasts_ray.synth import ensure_token_table
 from feasts_ray.pipelines.rollup_pipeline import run_rollup
+{hook}
 path = ensure_token_table(12000)
 run_rollup(path, {out!r}, token_features={feats}, token_archive={feats})
 print("DONE")
@@ -30,12 +31,26 @@ ray.shutdown()
 """
 
 
+# job hook: the driver SIGKILLs itself right after saving the 1m manifest
+KILL_AFTER_1M = """
+import os, signal
+from feasts_ray.state import checkpoint as ckpt
+_save = ckpt.save_manifest
+def _save_then_die(tier_dir, payload):
+    _save(tier_dir, payload)
+    if payload.get("tier") == "1m":
+        os.kill(os.getpid(), signal.SIGKILL)
+ckpt.save_manifest = _save_then_die
+"""
+
+
 def _run_job(out: str, kill_after: float | None = None,
-             feats: bool = False) -> bool:
+             feats: bool = False, hook: str = "") -> bool:
     """Run the rollup job in a subprocess; optionally SIGKILL it.
     Returns True if the job completed."""
     p = subprocess.Popen([sys.executable, "-c",
-                          JOB.format(repo=str(REPO), out=out, feats=feats)],
+                          JOB.format(repo=str(REPO), out=out, feats=feats,
+                                     hook=hook)],
                          stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
                          text=True)
     if kill_after is None:
@@ -84,6 +99,36 @@ def test_kill_resume_byte_identical(tmp_path):
         for path_str, before in manifests_after_kill.items():
             after = json.loads(Path(path_str).read_text())
             assert after["completed_at"] == before["completed_at"]
+
+
+def _points_bytes(out: str, tier: str) -> dict[str, bytes]:
+    d = Path(out) / tier / "points"
+    return {str(f.relative_to(d)): f.read_bytes()
+            for f in sorted(d.rglob("*.parquet"))}
+
+
+@pytest.mark.slow
+def test_kill_after_1m_restarts_chain_at_1h(tmp_path):
+    """The coarse tiers run as one chain task with one manifest per
+    tier. A run killed right after the 1m manifest resumes the chain at
+    1h: 1m is not recomputed, the chain reads 1m's points back, and
+    1h/1d points are byte-identical to an uninterrupted run."""
+    ref_out = str(tmp_path / "ref")
+    out = str(tmp_path / "resumed")
+    assert _run_job(ref_out), "uninterrupted run failed"
+    assert not _run_job(out, hook=KILL_AFTER_1M), "kill hook did not fire"
+    m1 = json.loads((Path(out) / "tier=1m" / "_CHECKPOINT.json").read_text())
+    assert m1["chained"] is True
+    assert not (Path(out) / "tier=1h" / "_CHECKPOINT.json").exists()
+
+    assert _run_job(out), "resume run failed"
+    after = json.loads((Path(out) / "tier=1m" / "_CHECKPOINT.json").read_text())
+    assert after["completed_at"] == m1["completed_at"]
+    m1h = json.loads((Path(out) / "tier=1h" / "_CHECKPOINT.json").read_text())
+    assert m1h["input"] == str(Path(out) / "tier=1m" / "points")
+    for tier in ("tier=1h", "tier=1d"):
+        got = _points_bytes(out, tier)
+        assert got and got == _points_bytes(ref_out, tier), tier
 
 
 @pytest.mark.slow

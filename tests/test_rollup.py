@@ -93,6 +93,9 @@ def test_fused_doc_stage_matches_standalone(tmp_path):
     assert metrics["tokens_archive"].get("fused_scan") is True
     assert metrics["features"]["points"] == 3000
     assert metrics["tokens_archive"]["points"] == 3000
+    # the one fused wall is recorded once, marked as overlapping the tiers
+    assert metrics["features"]["overlapped_tiers"] is True
+    assert "wall_s" not in metrics["tokens_archive"]
 
     got = (pads.dataset(f"{out}/features/points").to_table().to_pandas()
            .sort_values("doc_id", ignore_index=True))
@@ -125,6 +128,25 @@ def test_fused_doc_stage_matches_standalone(tmp_path):
             == metrics["features"]["completed_at"])
     assert metrics3["tokens_archive"]["points"] == 3000
     assert metrics3["tokens_archive"].get("fused_scan") is None
+
+
+def test_tier_failure_joins_doc_stage(tmp_path, monkeypatch):
+    """The fused doc stage writes beside the tiers; when a tier raises,
+    run_rollup waits for that write before the error surfaces, so nothing
+    keeps writing into features/ or tokens_archive/ afterwards."""
+    from feasts_ray.pipelines import rollup_pipeline
+    from feasts_ray.state import checkpoint as ckpt
+
+    def _tier_fails(*_a, **_k):
+        raise RuntimeError("tier failed")
+
+    monkeypatch.setattr(rollup_pipeline, "_run_tiers", _tier_fails)
+    out = tmp_path / "out"
+    with pytest.raises(RuntimeError, match="tier failed"):
+        run_rollup(ensure_token_table(3000), str(out), token_features=True,
+                   token_archive=True)
+    for stage in ("features", "tokens_archive"):
+        assert ckpt.load_manifest(out / stage)["points"] == 3000
 
 
 def test_spans_sidecar_roundtrip_1e6_sources(tmp_path):

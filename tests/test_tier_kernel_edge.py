@@ -166,9 +166,15 @@ def test_broadcast_cache_bounded(ray_session):
 
 
 def test_single_block_path_matches_distributed(ray_session):
-    """run_tier(single_block=True) — the tiny-tier zero-shuffle fast
-    path — produces the IDENTICAL point set as the distributed groupby
-    path, gap-filled and not, including blob-free float semantics."""
+    """cascade_chain — the coarse tiers back to back in one task, zero
+    shuffle — produces the IDENTICAL point set at every tier as the
+    distributed groupby path run tier by tier (cascade_batch + run_tier,
+    as run_rollup's shuffle path), gap-filled and not, including
+    blob-free float semantics."""
+    from feasts_ray.config import Tier
+    from feasts_ray.stages.rollup import cascade_batch
+    from feasts_ray.stages.tier_kernel import cascade_chain
+
     rng = np.random.default_rng(7)
     df = pd.DataFrame({
         "source": rng.choice(["p", "q", "r"], 4000),
@@ -177,16 +183,23 @@ def test_single_block_path_matches_distributed(ray_session):
     })
     df["min"] = df["sum"]
     df["max"] = df["sum"]
+    tiers = (Tier("t1", 60), Tier("t2", 600))
+
+    def _sorted(t):
+        return t.to_pandas().sort_values(["source", "bucket"],
+                                         ignore_index=True)
+
     for gap_fill in (False, True):
         ds = _partials_ds(df)
         spans = spans_from_partials(ds, key_col="source") if gap_fill else {}
-        dist = run_tier(ds, "t", 60, 64, spans, gap_fill=gap_fill,
-                        blobs_dir=None, key_col="source"
-                        ).to_pandas().sort_values(
-            ["source", "bucket"], ignore_index=True)
-        single = run_tier(_partials_ds(df), "t", 60, 64, spans,
-                          gap_fill=gap_fill, blobs_dir=None,
-                          key_col="source", single_block=True
-                          ).to_pandas().sort_values(
-            ["source", "bucket"], ignore_index=True)
-        _compare(single, dist)
+        chain = cascade_chain(pa.Table.from_pandas(df, preserve_index=False),
+                              tiers, [None, None], 64, spans, gap_fill)
+        prev = ds
+        for tier, single in zip(tiers, chain):
+            dist = run_tier(
+                prev.map_batches(cascade_batch, batch_format="pyarrow",
+                                 fn_kwargs={"unit_s": tier.unit_s}),
+                tier.name, tier.unit_s, 64, spans, gap_fill=gap_fill,
+                blobs_dir=None, key_col="source").materialize()
+            _compare(_sorted(single), _sorted(dist))
+            prev = dist
