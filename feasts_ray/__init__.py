@@ -9,7 +9,7 @@ Top-level layout:
   codecs/     Gorilla XOR float + delta-of-delta int bit codecs
   oracle/     single-process NumPy oracle (plays the role R ``stats::*``
               plays for the reference's tests)
-  stages/     Ray Data stage builders (bucketize, rollup, gapfill,
+  stages/     Ray Data stage builders (bucketize, rollup, tier kernel,
               encode, features, correlograms, decompositions)
   pipelines/  end-to-end pipelines (flagship rollup+retention pipeline)
   functions/  feature registry + pure vector->scalars kernels
@@ -19,3 +19,16 @@ Top-level layout:
 """
 
 __version__ = "0.1.0"
+
+
+# Ray re-imports fsspec.implementations.http for every path it resolves and
+# catches only ModuleNotFoundError. Without aiohttp, two threads resolving
+# paths at once can see each other's half-initialized module and get a
+# plain ImportError. A None entry makes every later import raise
+# ModuleNotFoundError at once.
+try:
+    import fsspec.implementations.http  # noqa: F401
+except ModuleNotFoundError:
+    import sys
+
+    sys.modules["fsspec.implementations.http"] = None

@@ -1,8 +1,9 @@
-"""Nullable float column codec: validity bitmap + Gorilla of present values.
+"""Nullable column codecs: validity bitmap + a stream of the present values.
 
-Gap-filled tiers carry null min/max/mean for empty buckets; the codec
-stores an np.packbits validity bitmap followed by the Gorilla stream of
-the non-null values. Layout: [n:8 bytes big-endian][bitmap ceil(n/8)][gorilla].
+Gap-filled tiers carry null min/max/mean for empty buckets. Both codecs
+store an np.packbits validity bitmap followed by the stream of the
+non-null values: Gorilla XOR for floats (mean), delta-of-delta for int64
+(min/max). Layout: [n:8 bytes big-endian][bitmap ceil(n/8)][stream].
 """
 
 from __future__ import annotations
@@ -42,23 +43,20 @@ def encode_nullable_ints(values: np.ndarray, valid: np.ndarray) -> bytes:
     from .intcodec import encode_ints
 
     valid = np.asarray(valid, dtype=bool)
-    v = np.asarray(values)
-    n = len(v)
+    v = np.asarray(values, dtype=np.int64)
     bitmap = np.packbits(valid)
-    body = encode_ints(v[valid].astype(np.int64))
-    return n.to_bytes(8, "big") + bitmap.tobytes() + body
+    return len(v).to_bytes(8, "big") + bitmap.tobytes() + encode_ints(v[valid])
 
 
 def decode_nullable_ints(data: bytes) -> tuple[np.ndarray, np.ndarray]:
-    """Returns (values float64 with NaN at nulls, valid bool mask) — float
-    output so callers handle gaps uniformly with the float codec."""
+    """Returns (values int64 with 0 at nulls, valid bool mask) — exact
+    over the whole int64 range."""
     from .intcodec import decode_ints
 
     n = int.from_bytes(data[:8], "big")
     nb = (n + 7) // 8
     bitmap = np.frombuffer(data[8 : 8 + nb], dtype=np.uint8)
     valid = np.unpackbits(bitmap)[:n].astype(bool)
-    present = decode_ints(data[8 + nb :])
-    out = np.full(n, np.nan, dtype=np.float64)
-    out[valid] = present.astype(np.float64)
+    out = np.zeros(n, dtype=np.int64)
+    out[valid] = decode_ints(data[8 + nb :])
     return out, valid

@@ -25,56 +25,33 @@ gap rows (tsibble::fill_gaps contract, /root/reference/R/dcmp_checks.R:1-5).
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 
 import ray.data
-from ray.data.aggregate import Max, Min, Sum
+
+from ..stages.rollup import _combine, cascade_batch
 
 
 def _partial_batch(
-    batch: pa.Table, unit_s: int, key_col: str, ts_col: str, value_col: str
+    batch: pa.Table, unit_s: int, key_col: str, ts_col: str,
+    measures: tuple[tuple[str, str, float], ...],
 ) -> pa.Table:
-    """Combiner: one partial row per (key, bucket) within the batch."""
+    """Combiner: one partial row per (key, bucket) with
+    sum_<m>/min_<m>/max_<m> per measure and ONE shared count. Each
+    measure is (name, source_column, scale) — values are converted to
+    exact int64 at ``round(v * scale)`` so every aggregate is bit-exact
+    regardless of reduction order (scale=100 for 2-decimal currency,
+    1 for integral quantities). An empty name keeps the bare
+    sum/min/max columns."""
     us = batch[ts_col].cast(pa.int64()).to_numpy(zero_copy_only=False)
-    sec = us // 1_000_000
-    bucket = (sec // unit_s) * unit_s
-    # exact cents (values carry <=2 decimals; *100 is integer up to fp eps)
-    v = batch[value_col].to_numpy(zero_copy_only=False)
-    cents = np.rint(v * 100.0).astype(np.int64)
-    df = pd.DataFrame({"key": batch[key_col].to_numpy(zero_copy_only=False),
-                       "bucket": bucket, "v": cents})
-    g = df.groupby(["key", "bucket"], sort=False, observed=True)["v"]
-    out = g.agg(count="count", sum="sum", min="min", max="max").reset_index()
-    out = out.rename(columns={"key": key_col})
-    return pa.Table.from_pandas(out, preserve_index=False).replace_schema_metadata(None)
-
-
-def _recast_batch(batch: pa.Table, unit_s: int, key_col: str) -> pa.Table:
-    """Cascade combiner: re-bucket a finer tier's partials to coarser unit."""
-    bucket = (batch["bucket"].to_numpy(zero_copy_only=False) // unit_s) * unit_s
-    df = pd.DataFrame({
-        "key": batch[key_col].to_numpy(zero_copy_only=False),
-        "bucket": bucket,
-        "count": batch["count"].to_numpy(zero_copy_only=False),
-        "sum": batch["sum"].to_numpy(zero_copy_only=False),
-        "min": batch["min"].to_numpy(zero_copy_only=False),
-        "max": batch["max"].to_numpy(zero_copy_only=False),
-    })
-    g = df.groupby(["key", "bucket"], sort=False, observed=True)
-    out = g.agg(count=("count", "sum"), sum=("sum", "sum"),
-                min=("min", "min"), max=("max", "max")).reset_index()
-    out = out.rename(columns={"key": key_col})
-    return pa.Table.from_pandas(out, preserve_index=False).replace_schema_metadata(None)
-
-
-def _merge(ds: "ray.data.Dataset", key_col: str) -> "ray.data.Dataset":
-    return ds.groupby([key_col, "bucket"]).aggregate(
-        Sum("count", alias_name="count"),
-        Sum("sum", alias_name="sum"),
-        Min("min", alias_name="min"),
-        Max("max", alias_name="max"),
-    )
+    cols = []
+    for name, col, scale in measures:
+        v = batch[col].to_numpy(zero_copy_only=False)
+        iv = np.rint(v * scale if scale != 1 else v).astype(np.int64)
+        ok = np.ones(len(iv), dtype=bool)
+        cols.append((f"_{name}" if name else "", iv, (iv, ok), (iv, ok)))
+    return _combine(batch[key_col], (us // 1_000_000) // unit_s * unit_s,
+                    None, cols, key_col)
 
 
 def rollup_table(
@@ -107,7 +84,7 @@ def rollup_table(
     ds = ds.map_batches(
         _partial_batch, batch_format="pyarrow", batch_size=batch_size,
         fn_kwargs={"unit_s": first_unit, "key_col": key_col,
-                   "ts_col": ts_col, "value_col": value_col},
+                   "ts_col": ts_col, "measures": (("", value_col, 100.0),)},
     )
     if cascade_from_s is not None:
         # Cascade fusion: the finer tier's merge is a plain integer
@@ -117,7 +94,7 @@ def rollup_table(
         # materializing the fine tier first, and skips one full shuffle.
         # (Buckets still floor through the fine unit: ts -> 60s -> 3600s.)
         ds = ds.map_batches(
-            _recast_batch, batch_format="pyarrow",
+            cascade_batch, batch_format="pyarrow",
             fn_kwargs={"unit_s": unit_s, "key_col": key_col},
         )
     spans: dict = {}
@@ -144,61 +121,10 @@ def _derive_batch(batch: pa.Table, key_col: str) -> pa.Table:
         "bucket": batch["bucket"].cast(pa.int64()),
         "count": batch["count"].cast(pa.int64()),
         "sum_cents": batch["sum"].cast(pa.int64()),
-        "min_cents": batch["min"].cast(pa.int64()),
-        "max_cents": batch["max"].cast(pa.int64()),
+        "min_cents": batch["min"],
+        "max_cents": batch["max"],
     })
     return t.append_column("mean_val", mean_col)
-
-
-def _partial_batch_multi(
-    batch: pa.Table, unit_s: int, key_col: str, ts_col: str,
-    measures: tuple[tuple[str, str, float], ...],
-) -> pa.Table:
-    """Multi-measure combiner: one partial row per (key, bucket) with
-    sum_<m>/min_<m>/max_<m> per measure and ONE shared count. Each
-    measure is (name, source_column, scale) — values are converted to
-    exact int64 at ``round(v * scale)`` so every aggregate is bit-exact
-    regardless of reduction order (scale=100 for 2-decimal currency,
-    1 for integral quantities). The composite-int-key reduceat grouping
-    is shared across measures (one argsort per batch)."""
-    if len(batch) == 0:
-        cols = {key_col: pa.array([], type=batch[key_col].type),
-                "bucket": pa.array([], type=pa.int64()),
-                "count": pa.array([], type=pa.int64())}
-        for name, _, _ in measures:
-            for c in ("sum", "min", "max"):
-                cols[f"{c}_{name}"] = pa.array([], type=pa.int64())
-        return pa.table(cols)
-    us = batch[ts_col].cast(pa.int64()).to_numpy(zero_copy_only=False)
-    bucket = (us // 1_000_000) // unit_s * unit_s
-    src = batch[key_col]
-    if isinstance(src, pa.ChunkedArray):
-        src = src.combine_chunks()
-    import pyarrow.compute as pc
-    d = pc.dictionary_encode(src)
-    codes = d.indices.to_numpy(zero_copy_only=False).astype(np.int64)
-    if len(bucket) and bucket.min() < 0:
-        raise ValueError("negative bucket id: composite key packing "
-                         "assumes non-negative epoch buckets")
-    key = (codes << np.int64(40)) | bucket
-    order = np.argsort(key, kind="stable")
-    ks = key[order]
-    starts = np.flatnonzero(np.concatenate([[True], ks[1:] != ks[:-1]]))
-    uk = ks[starts]
-    cnt = np.diff(np.concatenate([starts, [len(ks)]])).astype(np.int64)
-    out = {
-        key_col: d.dictionary.take(pa.array(uk >> np.int64(40), type=pa.int64())),
-        "bucket": pa.array(uk & ((np.int64(1) << np.int64(40)) - 1), type=pa.int64()),
-        "count": pa.array(cnt),
-    }
-    for name, col, scale in measures:
-        v = batch[col].to_numpy(zero_copy_only=False)
-        iv = np.rint(v * scale).astype(np.int64)[order] if scale != 1 \
-            else np.rint(v).astype(np.int64)[order]
-        out[f"sum_{name}"] = pa.array(np.add.reduceat(iv, starts))
-        out[f"min_{name}"] = pa.array(np.minimum.reduceat(iv, starts))
-        out[f"max_{name}"] = pa.array(np.maximum.reduceat(iv, starts))
-    return pa.table(out)
 
 
 def rollup_table_multi(
@@ -226,7 +152,7 @@ def rollup_table_multi(
     ds = ray.data.read_parquet(
         path, columns=[key_col, ts_col, *dict.fromkeys(m[1] for m in measures)])
     ds = ds.map_batches(
-        _partial_batch_multi, batch_format="pyarrow", batch_size=batch_size,
+        _partial_batch, batch_format="pyarrow", batch_size=batch_size,
         fn_kwargs={"unit_s": unit_s, "key_col": key_col,
                    "ts_col": ts_col, "measures": measures})
     spans: dict = {}
@@ -247,8 +173,8 @@ def rollup_table_multi(
                 "count": batch["count"].cast(pa.int64())}
         for n in names:
             cols[f"sum_{n}"] = batch[f"sum_{n}"].cast(pa.int64())
-            cols[f"min_{n}"] = batch[f"min_{n}"].cast(pa.int64())
-            cols[f"max_{n}"] = batch[f"max_{n}"].cast(pa.int64())
+            cols[f"min_{n}"] = batch[f"min_{n}"]
+            cols[f"max_{n}"] = batch[f"max_{n}"]
             s = batch[f"sum_{n}"].to_numpy(zero_copy_only=False)
             with np.errstate(invalid="ignore", divide="ignore"):
                 mean = (s.astype(np.float64) / cf) / float(scales[n])
@@ -304,7 +230,7 @@ def rollup_table_ingest(
     ).map_batches(
         _partial_batch, batch_format="pyarrow", batch_size=batch_size,
         fn_kwargs={"unit_s": unit_s, "key_col": key_col,
-                   "ts_col": ts_col, "value_col": value_col})
+                   "ts_col": ts_col, "measures": (("", value_col, 100.0),)})
     ds = run_tier(old.union(new), f"u{unit_s}", unit_s, segment_points,
                   {}, gap_fill=False, blobs_dir=None, key_col=key_col)
     return ds.map_batches(_derive_batch, batch_format="pyarrow",

@@ -118,12 +118,12 @@ def q_rollup_daily_multi(sf_dir: str):
             "bucket": pa.array(pdf["bucket"].to_numpy(np.int64)),
             "count": pa.array(pdf["count"].to_numpy(np.int64)),
             "sum_qty": pa.array(pdf["sum_qty"].to_numpy(np.int64)),
-            "min_qty": pa.array(pdf["min_qty"].to_numpy(np.float64).astype(np.int64)),
-            "max_qty": pa.array(pdf["max_qty"].to_numpy(np.float64).astype(np.int64)),
+            "min_qty": pa.array(pdf["min_qty"]),
+            "max_qty": pa.array(pdf["max_qty"]),
             "mean_qty": pa.array(pdf["mean_qty"].to_numpy(np.float64)),
             "sum_price_cents": pa.array(pdf["sum_price"].to_numpy(np.int64)),
-            "min_price_cents": pa.array(pdf["min_price"].to_numpy(np.float64).astype(np.int64)),
-            "max_price_cents": pa.array(pdf["max_price"].to_numpy(np.float64).astype(np.int64)),
+            "min_price_cents": pa.array(pdf["min_price"]),
+            "max_price_cents": pa.array(pdf["max_price"]),
             "mean_price": pa.array(pdf["mean_price"].to_numpy(np.float64) / 100.0),
         })
 
@@ -247,8 +247,8 @@ def q_rollup_1h_blobs_roundtrip(sf_dir: str):
             "bucket": pa.array(pdf["bucket"].to_numpy(np.int64)),
             "count": pa.array(pdf["count"].to_numpy(np.int64)),
             "sum_cents": pa.array(pdf["sum"].to_numpy(np.int64)),
-            "min_cents": pa.array(pdf["min"].to_numpy(np.float64).astype(np.int64)),
-            "max_cents": pa.array(pdf["max"].to_numpy(np.float64).astype(np.int64)),
+            "min_cents": pa.array(pdf["min"]),
+            "max_cents": pa.array(pdf["max"]),
             "mean_val": pa.array(pdf["mean"].to_numpy(np.float64)),
         })
 

@@ -17,8 +17,7 @@ Dataflow (SURVEY.md §7.1, north rule):
   fused doc stage (features + archive) runs BESIDE the tiers: built on
     the calling thread, written on a background thread, joined at the end
 
-Why fused (vs the modular gap_fill/encode_tier stages kept for the query
-paths): Ray's groupby costs ~0.3 ms/group in Python, so grouping by
+Why fused: Ray's groupby costs ~0.3 ms/group in Python, so grouping by
 (source, bucket) is quadratic-feeling at scale; grouping by (source,
 segment) bounds group size at SEGMENT_POINTS (also the anti-skew salt)
 and cuts group count 4096x. See stages/tier_kernel.py.
@@ -86,6 +85,9 @@ def _cfg_dict(cfg: RollupConfig, encode: bool) -> dict:
         # points layout is part of lineage: outputs written under a
         # different partition span must not be selectively merged into
         "points_partition_segs": cfg.points_partition_segs,
+        # points schema: a store written with float min/max recomputes
+        # instead of being merged into
+        "points_format": "int64-minmax",
     }
 
 
@@ -454,10 +456,10 @@ def run_rollup(
         ckpt.is_complete(Path(out_dir) / d, lineage)
         for d in ("features", "tokens_archive"))
     with ThreadPoolExecutor(max_workers=1) as pool:
-        # A fresh fused doc stage runs beside the tiers. Its Dataset is
-        # built on this thread: Ray's path resolution imports fsspec
-        # lazily, which fails when two threads do it at once. Leaving the
-        # `with` joins the write, also when a tier raises.
+        # A fresh fused doc stage runs beside the tiers; both threads
+        # resolve paths, which the package's fsspec pin (feasts_ray/
+        # __init__.py) keeps safe. Leaving the `with` joins the write,
+        # also when a tier raises.
         doc_stage = pool.submit(
             run_token_features_and_archive,
             _fused_doc_dataset(input_path, out_dir), input_path, out_dir,

@@ -34,8 +34,8 @@ def check_gaps(ds: "ray.data.Dataset", key_col: str, bucket_col: str, unit_s: in
     if strict and agg["has_gaps"].any():
         bad = agg.loc[agg["has_gaps"], key_col].tolist()
         raise GapCheckError(
-            f"keys {bad} contain implicit gaps in time; run the gap_fill stage "
-            "to convert implicit gaps into explicit missing values"
+            f"keys {bad} contain implicit gaps in time; roll up with gap "
+            "fill to convert implicit gaps into explicit missing values"
         )
     return agg[[key_col, "n", "has_gaps"]]
 

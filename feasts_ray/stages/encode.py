@@ -11,7 +11,8 @@ actor pools.
 Output: one row per (source, tier, segment) with
   n_points, first_bucket, bucket_blob (delta-of-delta; ~1 bit/pt on
   gap-filled regular series), count_blob, sum_blob (dod ints),
-  min_blob / max_blob / mean_blob (validity bitmap + Gorilla XOR floats).
+  min_blob / max_blob (validity bitmap + dod int64s),
+  mean_blob (validity bitmap + Gorilla XOR floats).
 """
 
 from __future__ import annotations
@@ -31,9 +32,7 @@ from ..codecs import (
     encode_nullable_ints,
 )
 from ..config import SEGMENT_POINTS
-
-_FLOAT_COLS = ("min", "max", "mean")
-_INT_COLS = ("count", "sum")
+from .rollup import int64s, masked_ints, measure_suffixes
 
 
 class SegmentEncoder:
@@ -56,22 +55,17 @@ class SegmentEncoder:
             "bucket_blob": pa.array([encode_ints(buckets)],
                                     type=pa.binary()),
         }
-        for c in _INT_COLS:
-            v = np.asarray(group[c].to_numpy(zero_copy_only=False),
-                           dtype=np.int64)[order]
-            row[f"{c}_blob"] = pa.array([encode_ints(v)], type=pa.binary())
-        for c in _FLOAT_COLS:
-            # Arrow nulls surface as NaN in the float view — identical
-            # valid-mask semantics to the prior pandas notna() path
-            vals = np.asarray(group[c].to_numpy(zero_copy_only=False),
-                              dtype=np.float64)[order]
-            valid = ~np.isnan(vals)
-            if c in ("min", "max"):  # integer measures: dod-int path
-                row[f"{c}_blob"] = pa.array(
-                    [encode_nullable_ints(vals, valid)], type=pa.binary())
-            else:
-                row[f"{c}_blob"] = pa.array(
-                    [encode_nullable_floats(vals, valid)], type=pa.binary())
+        for c in ("count", "sum"):
+            row[f"{c}_blob"] = pa.array([encode_ints(int64s(group[c])[order])],
+                                        type=pa.binary())
+        for c in ("min", "max"):
+            v, ok = masked_ints(group[c])
+            row[f"{c}_blob"] = pa.array(
+                [encode_nullable_ints(v[order], ok[order])], type=pa.binary())
+        mean = np.asarray(group["mean"].to_numpy(zero_copy_only=False),
+                          dtype=np.float64)[order]
+        row["mean_blob"] = pa.array(
+            [encode_nullable_floats(mean, ~np.isnan(mean))], type=pa.binary())
         return pa.table(row)
 
 
@@ -101,13 +95,14 @@ def decode_segments(blob_rows: pa.Table | pd.DataFrame, key_col: str = "source",
                     measures: tuple[str, ...] | None = None) -> pd.DataFrame:
     """Decode blob rows back to long (source, bucket, count, sum, min, max,
     mean) form — used for the bit-exactness invariant and as a reader.
+    min/max come back exact, as pandas nullable Int64 (NA on gap rows).
 
     ``measures``: decode a multi-measure blob (tier_kernel._write_blob
     with measures set) — per measure the columns are sum_<m>/min_<m>/
     max_<m>/mean_<m>, count is shared."""
     if isinstance(blob_rows, pa.Table):
         blob_rows = blob_rows.to_pandas()
-    sfx = ("",) if measures is None else tuple(f"_{m}" for m in measures)
+    sfx = measure_suffixes(measures)
     int_cols = ["count"] + [f"sum{x}" for x in sfx]
     nint_cols = [f"{c}{x}" for x in sfx for c in ("min", "max")]
     nflt_cols = [f"mean{x}" for x in sfx]
@@ -123,8 +118,8 @@ def decode_segments(blob_rows: pa.Table | pd.DataFrame, key_col: str = "source",
         for c in int_cols:
             d[c] = decode_ints(blob_rows[f"{c}_blob"].iat[i])
         for c in nint_cols:
-            vals, _ = decode_nullable_ints(blob_rows[f"{c}_blob"].iat[i])
-            d[c] = vals
+            vals, valid = decode_nullable_ints(blob_rows[f"{c}_blob"].iat[i])
+            d[c] = pd.arrays.IntegerArray(vals, ~valid)
         for c in nflt_cols:
             vals, _ = decode_nullable_floats(blob_rows[f"{c}_blob"].iat[i])
             d[c] = vals

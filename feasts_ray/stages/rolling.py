@@ -153,7 +153,8 @@ class _RollingCorrKernel:
     expression — num/(sqrt(d1)*sqrt(d2)) over the exact ints — so the
     window-SUM SQL oracle matches every double bitwise. Windows whose
     x or y variance term is <= 0 (fewer than 2 points, or constant)
-    yield NULL, same as the SQL CASE."""
+    yield NULL, same as the SQL CASE. Values large enough to overflow
+    the int64 window sums raise ValueError."""
 
     def __init__(self, x_col, y_col, key_col, time_col, size):
         self.x_col, self.y_col = x_col, y_col
@@ -168,6 +169,13 @@ class _RollingCorrKernel:
         y = group[self.y_col].to_numpy(zero_copy_only=False).astype(
             np.int64)[order]
         n, w = len(x), self.size
+        # every product below is bounded by w*w*M^2 (M = max |x|, |y|);
+        # past int64 the sums would wrap, where the BIGINT oracle raises
+        m = max(-int(x.min()), int(x.max()), -int(y.min()), int(y.max()))
+        if min(w, n) ** 2 * m * m >= 2**63:
+            raise ValueError(
+                f"rolling_corr: window sums of {self.x_col!r}, {self.y_col!r} "
+                f"overflow int64 (max |value| {m}, window {min(w, n)})")
 
         def win(v: np.ndarray) -> np.ndarray:
             cs = np.concatenate([[0], np.cumsum(v)])

@@ -7,21 +7,106 @@ hot (source, bucket) key's fan-in to #batches, which is the explicit
 skew/salting strategy for Zipf-distributed sources: the per-batch combine
 IS the salt (salt = batch id), and the merge AGG is the de-salt.
 
-Sums/counts are int64 (exact); mean = sum/count is derived after the merge
-so results are bit-exact regardless of reduction order.
+One partials format at every tier: count/sum are int64, min/max are
+int64 with an Arrow validity mask (null on a gap row, where count == 0).
+Every aggregate is an exact integer, so mean = sum/count is derived after
+the merge and results are bit-exact regardless of reduction order.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-import ray.data
-from ray.data.aggregate import Max, Min, Sum
-
 from ..timebase import floor_bucket
+
+_FILL = {np.minimum: np.iinfo(np.int64).max, np.maximum: np.iinfo(np.int64).min}
+
+
+def measure_suffixes(measures: tuple[str, ...] | None) -> tuple[str, ...]:
+    """Column-name suffixes for a measure list. ``None`` (the legacy
+    single-measure contract) keeps the historical bare names
+    (sum/min/max/mean); a list names each measure's columns
+    sum_<m>/min_<m>/max_<m>/mean_<m> with ONE shared count column —
+    every measure of a row comes from the same observations, so a
+    per-measure count would be redundant."""
+    if measures is None:
+        return ("",)
+    return tuple(f"_{m}" for m in measures)
+
+
+def int64s(col) -> np.ndarray:
+    """Arrow integer column with no nulls -> int64 numpy."""
+    if isinstance(col, pa.ChunkedArray):
+        col = col.combine_chunks()
+    return np.asarray(col.to_numpy(zero_copy_only=False), dtype=np.int64)
+
+
+def masked_ints(col) -> tuple[np.ndarray, np.ndarray]:
+    """Arrow integer column -> (int64 values, validity); nulls read 0."""
+    if col.null_count == 0:
+        return int64s(col), np.ones(len(col), dtype=bool)
+    return int64s(col.fill_null(0)), np.asarray(pc.is_valid(col), dtype=bool)
+
+
+def masked_reduceat(op, values: np.ndarray, valid: np.ndarray,
+                    starts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``op`` (np.minimum / np.maximum) of a masked int64 column over the
+    sorted runs beginning at ``starts``. Invalid entries take op's
+    identity (int64 max for min, int64 min for max), so they never win;
+    a run is valid when any of its entries is."""
+    if valid.all():  # no nulls: the common case, skip the mask work
+        return op.reduceat(values, starts), np.ones(len(starts), dtype=bool)
+    return (op.reduceat(np.where(valid, values, _FILL[op]), starts),
+            np.logical_or.reduceat(valid, starts))
+
+
+def _combine(keys, bucket: np.ndarray, count: np.ndarray | None,
+             measures, key_col: str) -> pa.Table:
+    """THE partials combiner: one row per (key, bucket) over any rows.
+
+    ``keys`` is the Arrow key column, ``count`` the per-row counts
+    (None: every row is one observation) and ``measures`` a list of
+    (suffix, sum, (min, min_valid), (max, max_valid)) int64 arrays.
+
+    Dictionary-encode the key to codes, bit-pack (code, bucket - min
+    bucket) into one int64, argsort + reduceat: one sort per batch,
+    shared by every measure. Raises ValueError when the packed key would
+    overflow (more keys x bucket span than int64 holds)."""
+    if isinstance(keys, pa.ChunkedArray):
+        keys = keys.combine_chunks()
+    d = pc.dictionary_encode(keys)
+    codes = d.indices.to_numpy(zero_copy_only=False).astype(np.int64)
+    b0 = int(bucket.min()) if len(bucket) else 0
+    bits = (int(bucket.max()) - b0).bit_length() if len(bucket) else 0
+    if len(d.dictionary) << bits >= 2**63:
+        raise ValueError("partials combiner: keys x bucket span overflow "
+                         "the packed int64 group key")
+    key = (codes << np.int64(bits)) | (bucket - np.int64(b0))
+    order = np.argsort(key, kind="stable")
+    ks = key[order]
+    first = np.ones(len(ks), dtype=bool)
+    first[1:] = ks[1:] != ks[:-1]
+    starts = np.flatnonzero(first)
+    uk = ks[starts]
+    cnt = (np.diff(np.append(starts, len(ks))) if count is None
+           else np.add.reduceat(count[order], starts))
+    out = {
+        key_col: d.dictionary.take(pa.array(uk >> np.int64(bits),
+                                            type=pa.int64())),
+        "bucket": pa.array((uk & np.int64((1 << bits) - 1)) + b0,
+                           type=pa.int64()),
+        "count": pa.array(cnt, type=pa.int64()),
+    }
+    for x, s, mn, mx in measures:
+        out[f"sum{x}"] = pa.array(np.add.reduceat(s[order], starts),
+                                  type=pa.int64())
+        for name, op, (v, ok) in (("min", np.minimum, mn),
+                                  ("max", np.maximum, mx)):
+            v, ok = masked_reduceat(op, v[order], ok[order], starts)
+            out[f"{name}{x}"] = pa.array(v, type=pa.int64(), mask=~ok)
+    return pa.table(out)
 
 
 def partial_rollup_batch(
@@ -31,110 +116,36 @@ def partial_rollup_batch(
     key_col: str = "source",
     ts_col: str = "ts_s",
 ) -> pa.Table:
-    """Combine a batch to one partial row per (source, bucket).
-
-    Composite-int-key numpy path (dictionary-encode source -> codes,
-    key = codes << 40 | bucket, argsort + reduceat): 3.2x the previous
-    two-column pandas groupby on a 32768-row synth batch (11.8 ->
-    3.7 ms), identical groups. Codes are per-batch (< batch_size), and
-    epoch-second buckets stay < 2^40, so the key never overflows.
+    """Combine a batch of raw rows to one partial row per (source, bucket).
 
     ``value_col`` may be a tuple of measure columns: the (source,
     bucket) grouping work (one argsort) is shared and each measure adds
     three reduceat passes, emitting sum_<m>/min_<m>/max_<m> columns
-    next to the ONE shared count (see tier_kernel.measure_suffixes)."""
+    next to the ONE shared count (see measure_suffixes)."""
     multi = not isinstance(value_col, str)
     vcols = tuple(value_col) if multi else (value_col,)
-    sfx = tuple(f"_{m}" for m in vcols) if multi else ("",)
-    if len(batch) == 0:
-        cols = {key_col: pa.array([], type=batch[key_col].type),
-                "bucket": pa.array([], type=pa.int64()),
-                "count": pa.array([], type=pa.int64())}
-        for x in sfx:
-            cols[f"sum{x}"] = pa.array([], type=pa.int64())
-            cols[f"min{x}"] = pa.array([], type=pa.int64())
-            cols[f"max{x}"] = pa.array([], type=pa.int64())
-        return pa.table(cols)
-    ts = batch[ts_col].to_numpy(zero_copy_only=False)
-    bucket = floor_bucket(ts, unit_s).astype(np.int64)
-    src = batch[key_col]
-    if isinstance(src, pa.ChunkedArray):
-        src = src.combine_chunks()
-    d = pc.dictionary_encode(src)
-    codes = d.indices.to_numpy(zero_copy_only=False).astype(np.int64)
-    if len(bucket) and (bucket[0] < 0 or bucket.min() < 0):
-        raise ValueError("negative bucket id: composite key packing "
-                         "assumes non-negative epoch buckets")
-    key = (codes << np.int64(40)) | bucket
-    order = np.argsort(key, kind="stable")
-    ks = key[order]
-    starts = np.flatnonzero(np.concatenate([[True], ks[1:] != ks[:-1]]))
-    uk = ks[starts]
-    cnt = np.diff(np.concatenate([starts, [len(ks)]])).astype(np.int64)
-    out = {
-        key_col: d.dictionary.take(pa.array(uk >> np.int64(40), type=pa.int64())),
-        "bucket": pa.array(uk & ((np.int64(1) << np.int64(40)) - 1), type=pa.int64()),
-        "count": pa.array(cnt),
-    }
-    for vc, x in zip(vcols, sfx):
-        vs = batch[vc].to_numpy(zero_copy_only=False).astype(np.int64)[order]
-        out[f"sum{x}"] = pa.array(np.add.reduceat(vs, starts))
-        out[f"min{x}"] = pa.array(np.minimum.reduceat(vs, starts))
-        out[f"max{x}"] = pa.array(np.maximum.reduceat(vs, starts))
-    return pa.table(out)
-
-
-def merge_partials(ds: "ray.data.Dataset", key_cols=("source", "bucket")) -> "ray.data.Dataset":
-    """Global merge of partial aggregates (the one wide shuffle)."""
-    return ds.groupby(list(key_cols)).aggregate(
-        Sum("count", alias_name="count"),
-        Sum("sum", alias_name="sum"),
-        Min("min", alias_name="min"),
-        Max("max", alias_name="max"),
-    )
+    bucket = floor_bucket(batch[ts_col].to_numpy(zero_copy_only=False), unit_s)
+    measures = []
+    for vc, x in zip(vcols, measure_suffixes(vcols if multi else None)):
+        v = int64s(batch[vc])
+        ok = np.ones(len(v), dtype=bool)
+        measures.append((x, v, (v, ok), (v, ok)))
+    return _combine(batch[key_col], bucket, None, measures, key_col)
 
 
 def cascade_batch(batch: pa.Table, unit_s: int,
-                  measures: tuple[str, ...] | None = None) -> pa.Table:
+                  measures: tuple[str, ...] | None = None,
+                  key_col: str = "source") -> pa.Table:
     """Re-bucket a finer tier's aggregate rows to a coarser tier (partial).
 
     count/sum/min/max re-aggregate exactly; mean is re-derived after the
     merge (north rule: tier[k+1] = re-aggregation of tier[k], no re-shuffle
     of raw). Gap rows (count=0, null min/max) pass through harmlessly.
-    ``measures``: multi-measure tier columns (tier_kernel convention).
+    ``measures``: multi-measure tier columns (see measure_suffixes).
     """
-    sfx = ("",) if measures is None else tuple(f"_{m}" for m in measures)
     bucket = floor_bucket(batch["bucket"].to_numpy(zero_copy_only=False), unit_s)
-    cols = {
-        "source": batch["source"].to_numpy(zero_copy_only=False),
-        "bucket": bucket,
-        "count": batch["count"].to_numpy(zero_copy_only=False),
-    }
-    for x in sfx:
-        for c in ("sum", "min", "max"):
-            cols[f"{c}{x}"] = batch[f"{c}{x}"].to_numpy(zero_copy_only=False)
-    df = pd.DataFrame(cols)
-    g = df.groupby(["source", "bucket"], sort=False, observed=True)
-    spec = {"count": ("count", "sum")}
-    for x in sfx:
-        spec[f"sum{x}"] = (f"sum{x}", "sum")
-        spec[f"min{x}"] = (f"min{x}", "min")
-        spec[f"max{x}"] = (f"max{x}", "max")
-    out = g.agg(**spec).reset_index()
-    return pa.Table.from_pandas(out, preserve_index=False).replace_schema_metadata(None)
-
-
-def add_mean(ds: "ray.data.Dataset") -> "ray.data.Dataset":
-    """mean = sum / count (float64), null when count == 0."""
-
-    def _mean(batch: pa.Table) -> pa.Table:
-        cnt = batch["count"].to_numpy(zero_copy_only=False).astype(np.float64)
-        s = batch["sum"].to_numpy(zero_copy_only=False).astype(np.float64)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            mean = np.where(cnt > 0, s / cnt, np.nan)
-        col = pa.array(mean, type=pa.float64(), mask=cnt == 0)  # null when empty bucket
-        if "mean" in batch.column_names:
-            batch = batch.drop_columns(["mean"])
-        return batch.append_column("mean", col)
-
-    return ds.map_batches(_mean, batch_format="pyarrow")
+    cols = [(x, int64s(batch[f"sum{x}"]), masked_ints(batch[f"min{x}"]),
+             masked_ints(batch[f"max{x}"]))
+            for x in measure_suffixes(measures)]
+    return _combine(batch[key_col], bucket, int64s(batch["count"]), cols,
+                    key_col)

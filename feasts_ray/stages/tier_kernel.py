@@ -46,7 +46,8 @@ import ray
 import ray.data
 
 from ..codecs import encode_ints, encode_nullable_floats, encode_nullable_ints
-from .rollup import cascade_batch
+from .rollup import (cascade_batch, int64s, masked_ints, masked_reduceat,
+                     measure_suffixes)
 
 # shared per-process broadcast-resolve LRU (moved to state/broadcast.py
 # so the dedup/ANN corpus-scan task pools reuse the same pattern)
@@ -54,18 +55,6 @@ from ..state.broadcast import (  # noqa: E402
     resolve_broadcast as _resolve_broadcast,
     put_once as _put_once,
 )
-
-
-def measure_suffixes(measures: tuple[str, ...] | None) -> tuple[str, ...]:
-    """Column-name suffixes for a measure list. ``None`` (the legacy
-    single-measure contract) keeps the historical bare names
-    (sum/min/max/mean); a list names each measure's columns
-    sum_<m>/min_<m>/max_<m>/mean_<m> with ONE shared count column —
-    every measure of a row comes from the same observations, so a
-    per-measure count would be redundant."""
-    if measures is None:
-        return ("",)
-    return tuple(f"_{m}" for m in measures)
 
 
 def spans_from_partials(ds: "ray.data.Dataset", key_col: str = "source") -> dict[str, tuple[int, int]]:
@@ -138,22 +127,6 @@ def add_segment(batch: pa.Table, seg_span: int) -> pa.Table:
     return batch.append_column("segment", pa.array(seg, type=pa.int64()))
 
 
-def _col_i64(col) -> np.ndarray:
-    """Arrow int-ish column -> int64 numpy (no nulls expected)."""
-    if isinstance(col, pa.ChunkedArray):
-        col = col.combine_chunks()
-    return np.asarray(col.to_numpy(zero_copy_only=False), dtype=np.int64)
-
-
-def _col_f64_nan(col) -> np.ndarray:
-    """Arrow numeric column (possibly null) -> float64 numpy, nulls as
-    NaN (pyarrow's null-aware to_numpy already yields NaN-filled float64
-    when nulls are present; the asarray only casts the no-null int case)."""
-    if isinstance(col, pa.ChunkedArray):
-        col = col.combine_chunks()
-    return np.asarray(col.to_numpy(zero_copy_only=False), dtype=np.float64)
-
-
 class TierSegmentKernel:
     """map_groups kernel for one (source, segment): vectorized merge of
     partials, local gap-fill, mean, time sort, optional blob write.
@@ -183,13 +156,13 @@ class TierSegmentKernel:
 
     def __call__(self, group: pa.Table) -> pa.Table:
         key = group[self.key_col][0].as_py()
-        bkt = _col_i64(group["bucket"])
+        bkt = int64s(group["bucket"])
         seg = int(bkt[0] // self.seg_span)
         # merge duplicate buckets (partials + skeleton seeds): one numpy
         # sort + reduceat per group instead of a pandas groupby/agg (the
         # per-group pandas machinery dominated the kernel at small group
-        # sizes). Exactness: int64 add.reduceat for count/sum; fmin/fmax
-        # skip NaN like pandas' skipna min/max (all-NaN group -> NaN).
+        # sizes). Exact int64 throughout: add.reduceat for count/sum, the
+        # masked reduce for min/max (a seed's null never wins).
         order = np.argsort(bkt, kind="stable")
         b_s = bkt[order]
         first = np.empty(len(b_s), dtype=bool)
@@ -197,14 +170,14 @@ class TierSegmentKernel:
         first[1:] = b_s[1:] != b_s[:-1]
         starts = np.flatnonzero(first)
         buckets = b_s[starts]
-        cnt = np.add.reduceat(_col_i64(group["count"])[order], starts)
-        # per-measure merge: identical reduceat ops in a loop — with the
-        # legacy single measure this is byte-for-byte the historical path
+        cnt = np.add.reduceat(int64s(group["count"])[order], starts)
+        # per measure: sum, and (values, validity) for min and max
         s, mn, mx = {}, {}, {}
         for x in self.sfx:
-            s[x] = np.add.reduceat(_col_i64(group[f"sum{x}"])[order], starts)
-            mn[x] = np.fmin.reduceat(_col_f64_nan(group[f"min{x}"])[order], starts)
-            mx[x] = np.fmax.reduceat(_col_f64_nan(group[f"max{x}"])[order], starts)
+            s[x] = np.add.reduceat(int64s(group[f"sum{x}"])[order], starts)
+            for agg, op, c in ((mn, np.minimum, "min"), (mx, np.maximum, "max")):
+                v, ok = masked_ints(group[f"{c}{x}"])
+                agg[x] = masked_reduceat(op, v[order], ok[order], starts)
         if self.gap_fill:
             lo, hi = self.spans[key]
             lo = (lo // self.unit_s) * self.unit_s
@@ -214,15 +187,16 @@ class TierSegmentKernel:
             # clip to tier flooring (dom_lo may not be on-grid relative to lo)
             dense = dense[(dense - lo) % self.unit_s == 0] if self.unit_s > 1 else dense
             # reindex: keep ONLY dense buckets; gaps get count=sum=0,
-            # min/max NaN (pandas .reindex semantics)
+            # min/max null (pandas .reindex semantics)
             pos = np.searchsorted(buckets, dense)
             pos_c = np.minimum(pos, max(len(buckets) - 1, 0))
             hit = buckets[pos_c] == dense
             cnt = np.where(hit, cnt[pos_c], 0)
             for x in self.sfx:
                 s[x] = np.where(hit, s[x][pos_c], 0)
-                mn[x] = np.where(hit, mn[x][pos_c], np.nan)
-                mx[x] = np.where(hit, mx[x][pos_c], np.nan)
+                for agg in (mn, mx):
+                    v, ok = agg[x]
+                    agg[x] = (np.where(hit, v[pos_c], 0), hit & ok[pos_c])
             buckets = dense
         mean = {}
         with np.errstate(invalid="ignore", divide="ignore"):
@@ -231,14 +205,6 @@ class TierSegmentKernel:
                                    np.nan)
         if self.blobs_dir is not None:
             self._write_blob(key, seg, buckets, cnt, s, mn, mx, mean)
-        # historical output dtype semantics (pandas-era blocks): float64
-        # WITH NaN-as-NULL when the column has any gap (from_pandas turned
-        # NaN into Arrow nulls), plain int64 when not
-        def _num(v: np.ndarray) -> pa.Array:
-            bad = np.isnan(v)
-            return (pa.array(v, mask=bad) if bad.any()
-                    else pa.array(v.astype(np.int64)))
-
         out = {
             self.key_col: pa.array([key] * len(buckets),
                                    type=group.schema.field(self.key_col).type),
@@ -247,8 +213,8 @@ class TierSegmentKernel:
         }
         for x in self.sfx:
             out[f"sum{x}"] = pa.array(s[x])
-            out[f"min{x}"] = _num(mn[x])
-            out[f"max{x}"] = _num(mx[x])
+            for c, (v, ok) in (("min", mn[x]), ("max", mx[x])):
+                out[f"{c}{x}"] = pa.array(v, type=pa.int64(), mask=~ok)
             out[f"mean{x}"] = pa.array(mean[x], mask=np.isnan(mean[x]))
         return pa.table(out)
 
@@ -267,10 +233,8 @@ class TierSegmentKernel:
             cols[f"sum{x}_blob"] = pa.array([encode_ints(s[x])])
             # min/max are integer measures (cents / token counts): the
             # dod-int path is ~8x faster and tighter than Gorilla
-            cols[f"min{x}_blob"] = pa.array(
-                [encode_nullable_ints(mn[x], ~np.isnan(mn[x]))])
-            cols[f"max{x}_blob"] = pa.array(
-                [encode_nullable_ints(mx[x], ~np.isnan(mx[x]))])
+            cols[f"min{x}_blob"] = pa.array([encode_nullable_ints(*mn[x])])
+            cols[f"max{x}_blob"] = pa.array([encode_nullable_ints(*mx[x])])
             cols[f"mean{x}_blob"] = pa.array(
                 [encode_nullable_floats(mean[x], valid_cnt)])
         blob = pa.table(cols)
@@ -347,20 +311,18 @@ def cascade_chain(points: pa.Table, tiers, blobs_dirs, segment_points: int,
             index = _seed_index(spans, tier.unit_s, seg_span)
             t = pa.concat_tables(
                 [t, _seed_rows({"id": np.arange(index[3][-1])}, index,
-                               seg_span, key_col, sfx)],
-                promote_options="permissive")
+                               seg_span, key_col, sfx)])
         kernel = TierSegmentKernel(tier.name, tier.unit_s, seg_span, spans,
                                    tier_gap_fill, blobs_dir, key_col, measures)
         # groups in (segment, key) order, as the groupby path emits them,
         # whatever the input's row order; each is a zero-copy slice
         t = add_segment(t, seg_span).sort_by(
             [("segment", "ascending"), (key_col, "ascending")])
-        segs = _col_i64(t["segment"])
+        segs = int64s(t["segment"])
         keys = t[key_col].combine_chunks().dictionary_encode().indices \
             .to_numpy(zero_copy_only=False)
         cuts = np.flatnonzero((segs[1:] != segs[:-1]) | (keys[1:] != keys[:-1]))
         bounds = np.concatenate([[0], cuts + 1, [len(t)]])
         points = pa.concat_tables(
-            [kernel(t.slice(lo, hi - lo)) for lo, hi in zip(bounds, bounds[1:])],
-            promote_options="permissive")
+            [kernel(t.slice(lo, hi - lo)) for lo, hi in zip(bounds, bounds[1:])])
         yield points

@@ -1115,8 +1115,8 @@ def histogram_int(ds: "ray.data.Dataset", value_col: str,
     Scale shape: one Min/Max aggregate fixes the edges; one corpus scan
     emits per-batch bincount partials (<= ``bins`` rows per batch); a
     ``bins``-sized groupby Sum finalizes. The corpus is never
-    shuffled. An empty input or an all-null column has no edges and
-    raises ValueError."""
+    shuffled. Null values are skipped. An empty input or an all-null
+    column has no edges and raises ValueError."""
     from ray.data.aggregate import Max, Min
 
     mm = ds.aggregate(Min(value_col), Max(value_col))
@@ -1128,7 +1128,9 @@ def histogram_int(ds: "ray.data.Dataset", value_col: str,
     width = max((hi - lo + bins) // bins, 1)
 
     def _partial(batch: pa.Table) -> pa.Table:
-        v = batch[value_col].to_numpy(zero_copy_only=False).astype(np.int64)
+        # nulls are not counted, as SQL COUNT(v) skips them
+        v = pc.drop_null(batch[value_col]).to_numpy(
+            zero_copy_only=False).astype(np.int64)
         bc = np.bincount((v - lo) // width)
         nzb = np.flatnonzero(bc)
         return pa.table({"bin": pa.array(nzb, type=pa.int64()),

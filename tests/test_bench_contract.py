@@ -44,3 +44,23 @@ def test_positional_slots_the_tracer_reads():
     # tier spans key on unit_s = args[3]; ingest phases on tier = args[2]
     assert params(rollup_pipeline.write_tier_points)[3] == "unit_s"
     assert params(incremental._selective_tier_merge)[2] == "tier"
+
+
+def test_kernel_probe_call_forms():
+    """The tracer's kernel probe calls ``partial_rollup_batch(timed,
+    unit_s=1)`` and ``cascade_batch(partial, unit_s=60)``; both keep
+    that form and yield int64 min/max."""
+    import pyarrow as pa
+
+    from feasts_ray.stages.bucketize import add_time_columns
+    from feasts_ray.stages.rollup import cascade_batch, partial_rollup_batch
+    from feasts_ray.synth import token_chunk
+
+    timed = add_time_columns(token_chunk(0, 64).select(
+        ["doc_id", "n_tok", "source"]))
+    partial = partial_rollup_batch(timed, unit_s=1)
+    coarse = cascade_batch(partial, unit_s=60)
+    for t in (partial, coarse):
+        for c in ("count", "sum", "min", "max"):
+            assert t.schema.field(c).type == pa.int64(), c
+        assert sum(t["count"].to_pylist()) == 64

@@ -93,7 +93,8 @@ def test_nullable_float_roundtrip(pairs):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.lists(st.tuples(st.integers(min_value=-(2**52), max_value=2**52),
+@given(st.lists(st.tuples(st.integers(min_value=-(2**63),
+                                      max_value=2**63 - 1),
                           st.booleans()), min_size=0, max_size=50))
 def test_nullable_int_roundtrip(pairs):
     from feasts_ray.codecs.nullable import (
@@ -101,8 +102,9 @@ def test_nullable_int_roundtrip(pairs):
         encode_nullable_ints,
     )
 
-    vals = np.array([float(v) for v, _ in pairs], dtype=np.float64)
+    vals = np.array([v for v, _ in pairs], dtype=np.int64)
     valid = np.array([m for _, m in pairs], dtype=bool)
     out, ovalid = decode_nullable_ints(encode_nullable_ints(vals, valid))
     np.testing.assert_array_equal(ovalid, valid)
+    assert out.dtype == np.int64
     np.testing.assert_array_equal(out[valid], vals[valid])

@@ -263,3 +263,35 @@ class TestCompactFlat:
             self._stage_df(out, "features", "points"), before)
         merged = list(sub.glob("*.parquet"))
         assert len(merged) == 1 and merged[0].name.startswith("compact-")
+
+
+def test_compacts_partition_mixing_gap_and_no_gap_groups(ray_session,
+                                                        tmp_path):
+    """A seg_part holding one file from a group with a gap row and one
+    from a group without compacts (both files carry int64 min/max with
+    a validity mask) and keeps the point set."""
+    import pyarrow as pa
+
+    from feasts_ray.stages.tier_kernel import TierSegmentKernel
+
+    def group(src, buckets):
+        v = [7 * (i + 1) for i in range(len(buckets))]
+        return pa.table({"source": [src] * len(buckets), "bucket": buckets,
+                         "count": [1] * len(buckets), "sum": v, "min": v,
+                         "max": v})
+
+    spans = {"a": (0, 180), "b": (0, 120)}
+    kernel = TierSegmentKernel("1m", 60, 60 * 64, spans, True, None)
+    gap = kernel(group("a", [0, 180]))       # gap rows at 60 and 120
+    dense = kernel(group("b", [0, 60, 120]))  # no gap row
+    assert gap["min"].null_count == 2 and dense["min"].null_count == 0
+    points_dir, _ = _tier_dirs(str(tmp_path), "1m")
+    part = points_dir / "seg_part=0"
+    part.mkdir(parents=True)
+    pq.write_table(gap, part / "gap.parquet")
+    pq.write_table(dense, part / "dense.parquet")
+    before = _points_df(tmp_path, "1m")
+    report = compact_points(tmp_path, "1m")
+    assert report["partitions_compacted"] == 1
+    assert _n_files(tmp_path, "1m") == 1
+    pd.testing.assert_frame_equal(_points_df(tmp_path, "1m"), before)

@@ -791,6 +791,30 @@ class TestHistogramInt:
                 histogram_int(ray.data.from_arrow(pa.table({"v": v})), "v")
 
 
+    def test_partly_null_skips_nulls_like_sql_count(self, ray_session):
+        """Nulls are not binned: the counts match SQL COUNT(v), which
+        skips them."""
+        from feasts_ray.text.corpus import histogram_int
+
+        t = pa.table({"v": pa.array([1, 2, None, 9], pa.int64())})
+        got = histogram_int(ray.data.from_arrow(t), "v", bins=4).to_pandas()
+        got = got.sort_values("bin", ignore_index=True)
+        con = duckdb.connect()
+        con.register("t", t)
+        exp = con.execute("""
+            WITH w AS (SELECT MIN(v) AS lo,
+              GREATEST((MAX(v) - MIN(v) + 4) // 4, 1) AS width FROM t)
+            SELECT CAST((v - lo) // width AS BIGINT) AS bin,
+              CAST(lo + ((v - lo) // width) * width AS BIGINT) AS bin_lo,
+              CAST(lo + ((v - lo) // width + 1) * width - 1 AS BIGINT) AS bin_hi,
+              CAST(COUNT(v) AS BIGINT) AS n
+            FROM t, w WHERE v IS NOT NULL GROUP BY (v - lo) // width, lo, width
+            ORDER BY bin""").df()
+        assert len(got) == len(exp) == 2
+        for c in ("bin", "bin_lo", "bin_hi", "n"):
+            assert (got[c].to_numpy() == exp[c].to_numpy()).all(), c
+
+
 class TestDeterministicShuffleRank:
     def test_matches_duckdb(self, docs_ds):
         from feasts_ray.oracle.simhash_sql import word_hash_expr

@@ -203,3 +203,72 @@ def test_single_block_path_matches_distributed(ray_session):
                 blobs_dir=None, key_col="source").materialize()
             _compare(_sorted(single), _sorted(dist))
             prev = dist
+
+
+def test_min_max_exact_above_2_53():
+    """min/max are int64 with a validity mask at every tier: a group with
+    min = max = 2^53 + 1 keeps that value exactly (a float64 round trip
+    would return 2^53), gap-filled or not, and through the cascade; a
+    group with a gap row and one without share one schema."""
+    from feasts_ray.stages.rollup import cascade_batch
+    from feasts_ray.stages.tier_kernel import TierSegmentKernel
+
+    big = 2**53 + 1
+    group = pa.table({"source": ["s", "s"], "bucket": [0, 120],
+                      "count": [1, 2], "sum": [big, 2 * big],
+                      "min": [big, big], "max": [big, big]})
+    spans = {"s": (0, 120)}
+    outs = {}
+    for gap_fill in (False, True):
+        out = TierSegmentKernel("t", 60, 60 * 64, spans, gap_fill, None)(group)
+        outs[gap_fill] = out
+        assert out.schema.field("min").type == pa.int64()
+        mn, mx = out["min"].to_pylist(), out["max"].to_pylist()
+        assert [v for v in mn if v is not None] == [big, big]
+        assert [v for v in mx if v is not None] == [big, big]
+    # the gap-filled group has a null gap row at bucket 60; same schema
+    assert outs[True]["min"].to_pylist() == [big, None, big]
+    assert outs[True].schema == outs[False].schema
+    up = cascade_batch(outs[True].select(
+        ["source", "bucket", "count", "sum", "min", "max"]), 3600)
+    assert up["min"].to_pylist() == [big] and up["max"].to_pylist() == [big]
+    assert up["count"].to_pylist() == [3]
+
+
+def test_masked_reduce_all_null_run_stays_null():
+    """The masked reduce over sorted runs: nulls never win, and a run of
+    only nulls (pure gap) stays null."""
+    from feasts_ray.stages.rollup import masked_reduceat
+
+    v = np.array([5, 0, 0, 0, -3, 2**62], dtype=np.int64)
+    ok = np.array([True, False, False, False, True, True])
+    starts = np.array([0, 2, 4])
+    assert masked_reduceat(np.minimum, v, ok, starts)[1].tolist() == \
+        [True, False, True]
+    assert masked_reduceat(np.minimum, v, ok, starts)[0][[0, 2]].tolist() \
+        == [5, -3]
+    assert masked_reduceat(np.maximum, v, ok, starts)[0][[0, 2]].tolist() \
+        == [5, 2**62]
+
+
+def test_combiner_packs_any_bucket_range_or_raises():
+    """The partials combiner packs (key, bucket - min bucket): negative
+    and far-apart buckets group exactly, and a key x span product past
+    int64 raises a named ValueError instead of colliding."""
+    from feasts_ray.stages.rollup import partial_rollup_batch
+
+    t = pa.table({"source": ["a", "b", "a", "a", "b"],
+                  "ts_s": [-120, 2**40, -120, 2**41, 2**40],
+                  "n_tok": [3, 4, 5, 6, 7]})
+    got = partial_rollup_batch(t, unit_s=60).to_pandas().sort_values(
+        ["source", "bucket"], ignore_index=True)
+    df = t.to_pandas()
+    df["bucket"] = (df["ts_s"] // 60) * 60
+    exp = df.groupby(["source", "bucket"]).agg(
+        count=("n_tok", "count"), sum=("n_tok", "sum"),
+        min=("n_tok", "min"), max=("n_tok", "max")).reset_index()
+    pd.testing.assert_frame_equal(got, exp, check_dtype=False)
+    wide = pa.table({"source": ["a", "b", "c"], "ts_s": [0, 2**62, 1],
+                     "n_tok": [1, 1, 1]})
+    with pytest.raises(ValueError, match="overflow"):
+        partial_rollup_batch(wide, unit_s=1)

@@ -118,9 +118,26 @@ def test_quantiles_hist_identical_to_sort_kernel(ray_session, n):
     pd.testing.assert_frame_equal(a, b[a.columns])
 
 
-def test_rolling_corr_matches_duckdb_and_numpy(ray_session):
+def _corr_oracle(df, size):
     import duckdb
 
+    return duckdb.connect().execute(f"""
+        WITH w AS (SELECT t, x, y,
+          CAST(COUNT(*) OVER win AS BIGINT) AS c,
+          CAST(SUM(x) OVER win AS BIGINT) AS sx,
+          CAST(SUM(y) OVER win AS BIGINT) AS sy,
+          CAST(SUM(x*y) OVER win AS BIGINT) AS sxy,
+          CAST(SUM(x*x) OVER win AS BIGINT) AS sxx,
+          CAST(SUM(y*y) OVER win AS BIGINT) AS syy
+          FROM df WINDOW win AS (ORDER BY t
+            ROWS BETWEEN {size - 1} PRECEDING AND CURRENT ROW))
+        SELECT t, CASE WHEN c*sxx - sx*sx > 0 AND c*syy - sy*sy > 0 THEN
+          CAST(c*sxy - sx*sy AS DOUBLE) / (sqrt(CAST(c*sxx - sx*sx AS DOUBLE))
+            * sqrt(CAST(c*syy - sy*sy AS DOUBLE))) END AS roll_corr
+        FROM w ORDER BY t""").df()
+
+
+def test_rolling_corr_matches_duckdb_and_numpy(ray_session):
     from feasts_ray.stages.rolling import rolling_corr
 
     rng = np.random.default_rng(23)
@@ -132,20 +149,7 @@ def test_rolling_corr_matches_duckdb_and_numpy(ray_session):
     got = rolling_corr(ray.data.from_pandas(df).repartition(3),
                        "x", "y", key_col="k", time_col="t", size=12
                        ).to_pandas().sort_values("t", ignore_index=True)
-    want = duckdb.connect().execute("""
-        WITH w AS (SELECT t, x, y,
-          CAST(COUNT(*) OVER win AS BIGINT) AS c,
-          CAST(SUM(x) OVER win AS BIGINT) AS sx,
-          CAST(SUM(y) OVER win AS BIGINT) AS sy,
-          CAST(SUM(x*y) OVER win AS BIGINT) AS sxy,
-          CAST(SUM(x*x) OVER win AS BIGINT) AS sxx,
-          CAST(SUM(y*y) OVER win AS BIGINT) AS syy
-          FROM df WINDOW win AS (ORDER BY t
-            ROWS BETWEEN 11 PRECEDING AND CURRENT ROW))
-        SELECT t, CASE WHEN c*sxx - sx*sx > 0 AND c*syy - sy*sy > 0 THEN
-          CAST(c*sxy - sx*sy AS DOUBLE) / (sqrt(CAST(c*sxx - sx*sx AS DOUBLE))
-            * sqrt(CAST(c*syy - sy*sy AS DOUBLE))) END AS roll_corr
-        FROM w ORDER BY t""").df()
+    want = _corr_oracle(df, 12)
     g, e = got["roll_corr"], want["roll_corr"]
     assert (g.isna() == e.isna()).all()
     m = ~g.isna()
@@ -159,3 +163,43 @@ def test_rolling_corr_matches_duckdb_and_numpy(ray_session):
         assert abs(g.iloc[i] - ref) < 1e-12
     # head window of 1 point: NULL
     assert np.isnan(g.iloc[0])
+
+
+def test_rolling_corr_int64_overflow_raises_named_error():
+    """Values near 2^31 with w=24 push the window sums past int64, where
+    the BIGINT oracle raises: the kernel raises a named ValueError
+    instead of wrapping."""
+    import pyarrow as pa
+
+    from feasts_ray.stages.rolling import _RollingCorrKernel
+
+    n = 60
+    rng = np.random.default_rng(5)
+    x = 2**31 - rng.integers(0, 1000, size=n)
+    group = pa.table({"k": ["p"] * n, "t": np.arange(n, dtype=np.int64),
+                      "x": x, "y": x[::-1].copy()})
+    with pytest.raises(ValueError, match="overflow int64"):
+        _RollingCorrKernel("x", "y", "k", "t", 24)(group)
+
+
+def test_rolling_corr_just_under_overflow_bound_matches(ray_session):
+    """Just under w*w*M^2 < 2^63 every window sum is exact and the
+    result still matches the oracle bit for bit."""
+    from feasts_ray.stages.rolling import rolling_corr
+
+    m, n = 126_541_687, 60  # 24*24*m*m < 2^63 <= 24*24*(m+1)^2
+    rng = np.random.default_rng(9)
+    x = m - rng.integers(0, 50_000_000, size=n)
+    y = -(m - rng.integers(0, 50_000_000, size=n))
+    x[7], y[11] = m, -m
+    df = pd.DataFrame({"k": "p", "t": np.arange(n, dtype=np.int64),
+                       "x": x.astype(np.int64), "y": y.astype(np.int64)})
+    got = rolling_corr(ray.data.from_pandas(df), "x", "y", key_col="k",
+                       time_col="t", size=24
+                       ).to_pandas().sort_values("t", ignore_index=True)
+    want = _corr_oracle(df, 24)
+    g, e = got["roll_corr"], want["roll_corr"]
+    assert (g.isna() == e.isna()).all() and (~g.isna()).sum() > 40
+    m_ = ~g.isna()
+    assert (g[m_].to_numpy().view(np.int64)
+            == e[m_].to_numpy().view(np.int64)).all()
