@@ -277,15 +277,3 @@ def band_hashes_batch(sigs: np.ndarray, n_bands: int) -> np.ndarray:
         for j in range(r):
             acc = (acc ^ lanes[:, :, j]) * _FNV_PRIME
     return acc
-
-
-def band_hashes(sig: np.ndarray, n_bands: int) -> np.ndarray:
-    """Hash each band (contiguous rows of the signature) to uint64."""
-    r = len(sig) // n_bands
-    out = np.empty(n_bands, dtype=np.uint64)
-    for bidx in range(n_bands):
-        chunk = sig[bidx * r : (bidx + 1) * r]
-        out[bidx] = int.from_bytes(
-            hashlib.blake2b(chunk.tobytes(), digest_size=8).digest(), "little"
-        )
-    return out

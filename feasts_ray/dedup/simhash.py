@@ -19,16 +19,6 @@ import ray.data
 from .hashing import tokenize_arrow
 
 
-def simhash64(word_hashes: np.ndarray) -> np.uint64:
-    if len(word_hashes) == 0:
-        return np.uint64(0)
-    vals, counts = np.unique(word_hashes, return_counts=True)
-    bits = np.unpackbits(vals.view(np.uint8).reshape(-1, 8), axis=1, bitorder="little")
-    vote = (counts[:, None] * (2 * bits.astype(np.int64) - 1)).sum(axis=0)
-    out_bits = (vote > 0).astype(np.uint8)
-    return np.packbits(out_bits, bitorder="little").view(np.uint64)[0]
-
-
 def simhash64_batch(word_hashes: np.ndarray, doc_of: np.ndarray, n_docs: int) -> np.ndarray:
     """SimHash for every doc in one vectorized pass: one unpackbits over
     the whole batch's word hashes, per-(doc, bit) votes via bincount."""

@@ -218,8 +218,3 @@ def x11_decompose(y: np.ndarray, period: int,
         "remainder": y - t2 - s2,
         "season_adjust": y - s2,
     }
-
-
-def x11_additive(y: np.ndarray, period: int) -> dict[str, np.ndarray]:
-    """Additive X11-style decomposition -> trend/seasonal/remainder."""
-    return x11_decompose(y, period, "additive")

@@ -29,7 +29,7 @@ import pyarrow as pa
 
 import ray.data
 
-from ..stages.rollup import _combine, cascade_batch
+from ..stages.rollup import _combine, cascade_batch, no_nulls
 
 
 def _partial_batch(
@@ -46,7 +46,7 @@ def _partial_batch(
     us = batch[ts_col].cast(pa.int64()).to_numpy(zero_copy_only=False)
     cols = []
     for name, col, scale in measures:
-        v = batch[col].to_numpy(zero_copy_only=False)
+        v = no_nulls(batch, col).to_numpy(zero_copy_only=False)
         iv = np.rint(v * scale if scale != 1 else v).astype(np.int64)
         ok = np.ones(len(iv), dtype=bool)
         cols.append((f"_{name}" if name else "", iv, (iv, ok), (iv, ok)))

@@ -6,26 +6,36 @@ Design: a completed raw tier's points ARE partials — per (source,bucket)
 exact-integer (count, sum, min, max) rows. Newly added files map through
 the same bucketize + partial combiner, and the delta-touched points
 re-enter the identical tier kernel. Integer merges are
-order-independent, so the merged raw tier is BIT-IDENTICAL to a full
+order-independent, so every merged tier is BIT-IDENTICAL to a full
 recompute over the whole input (pinned by tests/test_incremental.py).
-For the (default) non-gap-filled first tier the merge is SELECTIVE,
-and so is EVERY cascade tier: only the (key, segment) groups the delta
-touches are shuffled and re-encoded — untouched points stream through
-and untouched partition-addressed blob files stay in place. Every
-tier's points parquet is hive-partitioned by time range (seg_part
-dirs), so the point-file rewrite and the read feeding it are
-O(touched partitions) as well: untouched partition dirs are never
-opened, and the per-key span table updates from the prior run's
-sidecar plus the delta.
+Every merge is SELECTIVE: only the (key, segment) groups the delta
+touches (``tier_kernel.touched_groups``) are re-derived and re-encoded
+— untouched points are copied through and untouched
+partition-addressed blob files stay in place. Every tier's points
+parquet is hive-partitioned by time range (seg_part dirs), so the
+point-file rewrite and the read feeding it are O(touched partitions)
+as well: untouched partition dirs are never opened, and the per-key
+span table updates from the prior run's sidecar plus the delta. A
+gap-filled first tier is not merged: appended data moves its dense
+domain, so it takes the full-recompute path.
 
-Cascade merges are exact because integer aggregation is associative:
+The raw tier merges with one Ray shuffle (``_selective_tier_merge``).
+The coarse tiers (1m -> 1h -> 1d) merge in the build's engine: one
+``_coarse_chain`` task runs ``cascade_chain`` over the delta re-bucketed
+to 1m, reading the stored points of the touched partitions, when that
+input is under CHAIN_BYTES; a larger one (a big delta, or a store whose
+touched partitions are big) merges tier by tier with the selective
+shuffle, as the build keeps ``run_tier`` for a big prior tier. Only
+the delta's footprint (per key and first-tier segment: min and max
+bucket) reaches the driver.
+Coarse merges are exact because integer aggregation is associative:
 old-tier-points-as-partials + the delta's re-bucketed raw partials ==
 re-derivation from the merged raw tier, bit-for-bit. Gap-filled tiers
 additionally touch the (key, segment) groups whose dense domain
 changes — the segments between a key's old and new span bounds,
 inclusive of the old boundary segment whose domain clip moves — and
-seed them with count-0 partials so pure-gap groups still form
-(``_extension_groups`` / ``_seed_rows``).
+seed the touched groups with count-0 partials so pure-gap groups still
+form (the build's seed generator, restricted to the touched groups).
 
 Per-doc stages (token features, verified token archive) run over the
 NEW files only and append under an ``ingest-<lineage>`` subdirectory —
@@ -33,7 +43,7 @@ the per-doc kernels are batch-shape-independent, so appended rows are
 bit-identical to the rows a full run would produce.
 
 Scale shape of one ingest: the input scan covers only the new files,
-each tier's shuffle moves O(touched points + delta) rows, and NO stage
+each tier's merge moves O(touched points + delta) rows, and NO stage
 scans or rewrites anything proportional to the old corpus or the total
 rolled-point count. At 10^12 sequences with daily ingest batches this
 is the difference between rescanning the full corpus and scanning one
@@ -41,158 +51,72 @@ day's slice — the "continuous aggregate" contract of the north star.
 Measured (BASELINE.md): ingesting a 1M-doc delta costs the same wall
 into a 95M-doc corpus as into a 23M-doc one.
 
-Crash safety: merged tier outputs are built in sibling ``*.ingest-tmp``
-dirs, the tier's manifest is invalidated, then the touched partition
-dirs swap in and the manifest/spans are rewritten under the NEW lineage
-(file-inventory hash). A crash anywhere in between leaves no
-lineage-valid checkpoint for that tier, so the next run re-derives it —
-never a silent partial merge. Inputs are append-only and never touched.
+Crash safety: a tier's manifest is invalidated before its blob files
+or points change (the chain's tiers all at once, before the task), its
+merged points are built in a sibling ``points.tmp`` dir, the touched
+partition dirs swap in by ``os.replace``, and the manifests/spans are
+rewritten under the NEW lineage (file-inventory hash), in tier order.
+A crash anywhere in between leaves no lineage-valid checkpoint for that
+tier, so the next run re-derives it — never a silent partial merge.
+Inputs are append-only and never touched.
 """
 
 from __future__ import annotations
 
-import json
 import os
-import shutil
 import time
+from functools import partial
 from pathlib import Path
 
 import pyarrow as pa
-import pyarrow.compute as pc
 import pyarrow.dataset as pads
 
 import ray.data
 
 from ..config import RollupConfig
-from ..stages.bucketize import add_time_columns
-from ..stages.rollup import partial_rollup_batch
-from ..stages.tier_kernel import run_tier, spans_from_partials
+from ..stages.rollup import cascade_batch, int64s
+from ..stages.tier_kernel import filter_touched, run_tier, touched_groups
 from ..state import checkpoint as ckpt
-from .rollup_pipeline import (_cfg_dict, _cluster_cpus, _file_inventory,
-                              _input_rows, _points_stats, _tier_dirs,
-                              run_rollup)
+from ..state.broadcast import put_once
+from .rollup_pipeline import (_cfg_dict, _chain_fits, _clear,
+                              _file_inventory, _input_rows, _run_chain,
+                              _save_tier_manifest, _sized_read, _tier_dirs,
+                              _touched_files, raw_partials, run_rollup)
 
 INGEST_STATE_NAME = "_INGEST.json"
 
 
 def load_ingest_state(out_dir: str | Path) -> dict | None:
-    p = Path(out_dir) / INGEST_STATE_NAME
-    if not p.exists():
-        return None
-    try:
-        return json.loads(p.read_text())
-    except (json.JSONDecodeError, OSError):
-        return None
+    return ckpt._read_json(Path(out_dir) / INGEST_STATE_NAME)
 
 
 def save_ingest_state(out_dir: str | Path, inventory: list, lineage: str) -> None:
-    p = Path(out_dir) / INGEST_STATE_NAME
-    p.parent.mkdir(parents=True, exist_ok=True)
-    tmp = str(p) + ".tmp"
-    with open(tmp, "w") as f:
-        json.dump({"inventory": inventory, "lineage": lineage,
-                   "saved_at": time.time()}, f, indent=1)
-    os.replace(tmp, p)
+    ckpt._write_json(Path(out_dir) / INGEST_STATE_NAME, {
+        "inventory": inventory, "lineage": lineage, "saved_at": time.time()})
 
 
-def _filter_by_touched(batch: pa.Table, key_col: str, seg_span: int,
-                       ref, keep_touched: bool) -> pa.Table:
-    """Split a tier's points by whether their (key, segment) group is
-    touched by the delta. ``ref`` is a ray.put-broadcast sorted string
-    array of 'key\\x1fsegment' group ids (one per delta partial group —
-    bounded by the delta, resolved once per worker process)."""
-    from ..state.broadcast import resolve_broadcast
-
-    tset = resolve_broadcast(ref)
-    # same floor-division segment math as tier_kernel.add_segment
-    seg = batch["bucket"].to_numpy(zero_copy_only=False) // seg_span
-    gid = pc.binary_join_element_wise(
-        pc.cast(batch[key_col], pa.string()),
-        pa.array(seg.astype("U"), type=pa.string()), "\x1f")
-    m = pc.is_in(gid, value_set=tset)
-    return batch.filter(m if keep_touched else pc.invert(m))
-
-
-def _points_to_partials(batch: pa.Table, key_col: str,
-                        partial_cols: tuple[str, ...] = ("sum", "min", "max"),
-                        ) -> pa.Table:
-    """A tier's points rows re-enter the kernel as partials: drop derived
-    columns (mean / mean_<m>) and any gap rows (count==0 — null min/max).
-    ``partial_cols``: RollupConfig.partial_cols — bare names for the
-    legacy single-measure contract, suffixed sum_<m>/min_<m>/max_<m>
-    for multi-measure tiers."""
-    t = batch.select([key_col, "bucket", "count", *partial_cols])
-    return t.filter(pc.greater(t["count"], 0))
+@ray.remote(num_returns=2)
+def _delta_block(block: pa.Table, cfg: RollupConfig, unit_s: int):
+    """One block of the delta's raw partials -> ((footprint, bytes), the
+    block re-bucketed to ``unit_s``), or (None, None) for a block with
+    no rows. The footprint holds each (key, first-tier segment)'s min
+    (``bucket``) and max (``hi``) bucket: the per-key spans, and the
+    touched groups of every tier, whose segments nest whole first-tier
+    segments."""
+    if not block.num_rows:
+        return None, None
+    key = cfg.series_key
+    seg = int64s(block["bucket"]) // (cfg.segment_points * cfg.tiers[0].unit_s)
+    foot = (block.select([key, "bucket"]).append_column("seg", pa.array(seg))
+            .group_by([key, "seg"]).aggregate([("bucket", "min"),
+                                               ("bucket", "max")])
+            .rename_columns([key, "seg", "bucket", "hi"]))
+    coarse = cascade_batch(block, unit_s, cfg.measures, key)
+    return (foot, coarse.nbytes), coarse
 
 
-def _sized_read(paths: list[str] | str, columns: list[str],
-                nbytes: int) -> "ray.data.Dataset":
-    nblk = max(_cluster_cpus(), nbytes // (128 << 20))
-    return ray.data.read_parquet(paths, columns=columns,
-                                 override_num_blocks=nblk)
-
-
-def _collect_groups(ds: "ray.data.Dataset", key_col: str,
-                    seg_span: int) -> set[str]:
-    """(key, segment) group ids a delta touches at one tier. Driver-side
-    but bounded by the delta (one ~20 B id per touched group)."""
-    groups: set[str] = set()
-    for b in ds.iter_batches(batch_size=65536, batch_format="pyarrow"):
-        segs = b["bucket"].to_numpy(zero_copy_only=False) // seg_span
-        groups.update(f"{k}\x1f{s}" for k, s in
-                      zip(b[key_col].to_pylist(), segs.tolist()))
-    return groups
-
-
-def _extension_groups(prior_spans: dict, new_spans: dict,
-                      seg_span: int) -> set[str]:
-    """Gap-filled tiers: groups whose dense domain changes because a
-    key's span extended — the segments between the old and new bounds,
-    INCLUSIVE of the old boundary segment (its domain clip moves, so its
-    gap rows and blob must re-emit even with no delta point in it).
-    Bounded by #keys x (delta timespan / seg_span)."""
-    out: set[str] = set()
-    for k, (lo, hi) in new_spans.items():
-        old = prior_spans.get(k)
-        if old is None:
-            segs = range(lo // seg_span, hi // seg_span + 1)
-        else:
-            segs = []
-            if lo < old[0]:
-                segs = list(range(lo // seg_span, old[0] // seg_span + 1))
-            if hi > old[1]:
-                segs += list(range(old[1] // seg_span, hi // seg_span + 1))
-        out.update(f"{k}\x1f{s}" for s in segs)
-    return out
-
-
-def _seed_rows(touched: set[str], spans: dict, unit_s: int, seg_span: int,
-               key_col: str,
-               partial_cols: tuple[str, ...] = ("sum", "min", "max"),
-               ) -> pa.Table:
-    """One count-0 seed partial per touched group so pure-gap groups
-    still form (mirrors tier_kernel.skeleton_rows: bucket =
-    max(seg * seg_span, unit-floored span lo); a count-0 partial is a
-    no-op in the kernel merge, so seeding data-bearing groups too is
-    harmless and matches the full path's all-groups skeleton)."""
-    keys, buckets = [], []
-    for g in sorted(touched):
-        k, s = g.rsplit("\x1f", 1)
-        seg = int(s)
-        lo = (spans[k][0] // unit_s) * unit_s
-        keys.append(k)
-        buckets.append(max(seg * seg_span, lo))
-    n = len(keys)
-    cols = {
-        key_col: pa.array(keys, type=pa.string()),
-        "bucket": pa.array(buckets, type=pa.int64()),
-        "count": pa.array([0] * n, type=pa.int64()),
-    }
-    for c in partial_cols:
-        # count-0 partial: sums are the additive identity, min/max null
-        cols[c] = (pa.array([0] * n, type=pa.int64()) if c.startswith("sum")
-                   else pa.nulls(n, type=pa.int64()))
-    return pa.table(cols)
+def _concat_blocks(refs: list) -> pa.Table:
+    return pa.concat_tables(ray.get(refs))
 
 
 def _selective_tier_merge(
@@ -201,131 +125,103 @@ def _selective_tier_merge(
     tier,
     cfg: RollupConfig,
     delta_partials: "ray.data.Dataset",
-    touched: set[str],
+    touched: pa.Array,
     *,
     encode: bool,
-    gap_fill: bool,
-    spans: dict,
-    seeds: pa.Table | None = None,
+    spans: dict | None = None,
 ) -> bool:
-    """Merge delta partials into one tier's partitioned points + blobs,
-    rewriting only the touched (key, segment) groups and the seg_part
-    dirs that contain them. Returns False (nothing mutated) when the
-    tier's on-disk layout is not partitioned — the caller falls back to
-    a full re-derivation of that tier."""
-    from .rollup_pipeline import _points_part_span, write_tier_points
+    """Merge delta partials into one tier's partitioned points + blobs
+    with one Ray shuffle, rewriting only the ``touched`` (key, segment)
+    groups and the seg_part dirs that contain them; a gap-filled tier
+    seeds the touched groups over ``spans``. Returns False (nothing
+    mutated) when the tier's on-disk layout is not partitioned — the
+    caller falls back to a full re-derivation of that tier."""
+    from .rollup_pipeline import _swap_parts, write_tier_points
 
-    seg_span = cfg.segment_points * tier.unit_s
-    part_dirs = sorted(points_dir.glob("seg_part=*"))
-    if not part_dirs:
+    if not any(points_dir.glob("seg_part=*")):
         return False
-    pps = cfg.points_partition_segs
-    touched_parts = {int(g.rsplit("\x1f", 1)[1]) // pps for g in touched}
-    touched_dirs = [d for d in part_dirs
-                    if int(d.name.split("=", 1)[1]) in touched_parts]
-    touched_bytes = sum(ckpt.dir_bytes(d) for d in touched_dirs)
-    from ..state.broadcast import put_once
-
-    fk = {"key_col": cfg.series_key, "seg_span": seg_span,
-          "ref": put_once(pa.array(sorted(touched), type=pa.string()))}
+    tpaths = _touched_files(points_dir, touched, cfg)
+    touched_bytes = sum(os.path.getsize(f) for f in tpaths)
+    fk = {"key_col": cfg.series_key, "touched": put_once(touched),
+          "seg_span": cfg.segment_points * tier.unit_s}
     part_cols = [cfg.series_key, "bucket", "count", *cfg.partial_cols]
     merge_in = delta_partials
-    if seeds is not None and len(seeds):
-        merge_in = merge_in.union(ray.data.from_arrow(seeds))
     untouched = None
-    if touched_dirs:
-        # expand to explicit parquet files: Ray 2.49 read_parquet
-        # expands ONE directory path, but a LIST with >= 2 directories
-        # raises "Cannot open for reading: ... is a directory". The
-        # list is bounded by the touched partitions.
-        tpaths = [str(f) for d in touched_dirs
-                  for f in sorted(Path(d).rglob("*.parquet"))]
+    if tpaths:
         old_touched = (_sized_read(tpaths, part_cols, touched_bytes)
-                       .map_batches(_filter_by_touched,
+                       .map_batches(filter_touched,
                                     batch_format="pyarrow",
-                                    fn_kwargs=dict(fk, keep_touched=True))
-                       .map_batches(_points_to_partials,
-                                    batch_format="pyarrow",
-                                    fn_kwargs={
-                                        "key_col": cfg.series_key,
-                                        "partial_cols": cfg.partial_cols}))
+                                    fn_kwargs=dict(fk, keep_touched=True)))
         # rows in touched partitions whose (key, segment) group the
         # delta does NOT touch: stream through to the rewrite of their
         # partition, bypassing the shuffle
         untouched = (_sized_read(tpaths, part_cols + list(cfg.mean_cols),
                                  touched_bytes)
-                     .map_batches(_filter_by_touched,
+                     .map_batches(filter_touched,
                                   batch_format="pyarrow",
                                   fn_kwargs=dict(fk, keep_touched=False)))
         merge_in = old_touched.union(merge_in)
+    gap_fill = cfg.gap_fill and tier.gap_fill
     merged = run_tier(
         merge_in, tier.name, tier.unit_s, cfg.segment_points,
         spans if gap_fill else {}, gap_fill=gap_fill,
         blobs_dir=str(blobs_dir) if encode else None,
-        key_col=cfg.series_key, skeleton=False, measures=cfg.measures)
+        key_col=cfg.series_key, measures=cfg.measures, touched=touched)
     out = merged if untouched is None else untouched.union(merged)
     # touched blob files mutate in place while this executes: invalidate
     # the manifest FIRST so a crash anywhere falls back to a full
     # recompute of the tier instead of trusting a half-merged one
-    mpath = ckpt.manifest_path(points_dir.parent)
-    if mpath.exists():
-        mpath.unlink()
-    tmp_points = points_dir.parent / "points.ingest-tmp"
-    if tmp_points.exists():
-        shutil.rmtree(tmp_points)
+    ckpt.manifest_path(points_dir.parent).unlink(missing_ok=True)
+    tmp_points = points_dir.parent / "points.tmp"
+    _clear(tmp_points)
     write_tier_points(out, tmp_points, cfg, tier.unit_s)
     # swap ONLY the partitions the rewrite produced (touched +
     # delta-created); every other seg_part dir stays in place
-    for src in sorted(tmp_points.glob("seg_part=*")):
-        dst = points_dir / src.name
-        if dst.exists():
-            shutil.rmtree(dst)
-        os.replace(src, dst)
-    # a zero-row merge (e.g. an appended parquet file with no rows)
-    # writes nothing and creates no tmp dir at all
-    shutil.rmtree(tmp_points, ignore_errors=True)
+    _swap_parts(tmp_points, points_dir)
     return True
+
+
+def _doc_delta(name: str, data: str, stage, columns: list[str],
+               new_paths: list[str], out_dir: str, lineage: str,
+               rows_new: int) -> None:
+    """Append one per-doc stage's rows for the new files only, under
+    ``<name>/<data>/ingest-<lineage>`` (the kernels are batch-shape
+    independent -> rows identical to a full run's)."""
+    stage_dir = Path(out_dir) / name
+    sub = stage_dir / data / f"ingest-{lineage}"
+    _clear(sub)
+    t0 = time.perf_counter()
+    stage(ray.data.read_parquet(new_paths, columns=columns)
+          ).write_parquet(str(sub))
+    # the prior counts plus the new subdir's: no read of the store (a
+    # features manifest without bytes_blobs, from an older store: one walk)
+    prior = ckpt.load_manifest(stage_dir)
+    rows = prior["rows_out"] + pads.dataset(str(sub)).count_rows()
+    ckpt.save_manifest(stage_dir, {
+        "tier": name, "lineage": lineage, "rows_in": rows_new,
+        "rows_out": rows, "points": rows,
+        "bytes_blobs": (prior["bytes_blobs"] + ckpt.dir_bytes(sub)
+                        if "bytes_blobs" in prior
+                        else ckpt.dir_bytes(stage_dir / data)),
+        "wall_s": time.perf_counter() - t0, "incremental": True})
 
 
 def _features_delta(new_paths: list[str], out_dir: str, lineage: str,
                     rows_new: int) -> None:
-    """Append per-doc feature rows for the new files only (kernel is
-    batch-shape independent -> rows identical to a full run's)."""
     from ..stages.token_features import token_feature_table
 
-    feat_dir = Path(out_dir) / "features"
-    sub = feat_dir / "points" / f"ingest-{lineage}"
-    if sub.exists():
-        shutil.rmtree(sub)
-    t0 = time.perf_counter()
-    ds = ray.data.read_parquet(new_paths, columns=["doc_id", "tokens", "source"])
-    token_feature_table(ds).write_parquet(str(sub))
-    rows = pads.dataset(str(feat_dir / "points")).count_rows()
-    ckpt.save_manifest(feat_dir, {
-        "tier": "features", "lineage": lineage, "rows_in": rows_new,
-        "rows_out": rows, "points": rows,
-        "wall_s": time.perf_counter() - t0, "incremental": True})
+    _doc_delta("features", "points", token_feature_table,
+               ["doc_id", "tokens", "source"], new_paths, out_dir, lineage,
+               rows_new)
 
 
 def _archive_delta(new_paths: list[str], out_dir: str, lineage: str,
                    rows_new: int) -> None:
-    """Append verified token-archive blobs for the new files only."""
     from ..stages.token_archive import archive_tokens
 
-    arch_dir = Path(out_dir) / "tokens_archive"
-    sub = arch_dir / "blobs" / f"ingest-{lineage}"
-    if sub.exists():
-        shutil.rmtree(sub)
-    t0 = time.perf_counter()
-    ds = ray.data.read_parquet(new_paths, columns=["doc_id", "tokens",
-                                                   "n_tok", "source"])
-    archive_tokens(ds).write_parquet(str(sub))
-    rows = pads.dataset(str(arch_dir / "blobs")).count_rows()
-    ckpt.save_manifest(arch_dir, {
-        "tier": "tokens_archive", "lineage": lineage, "rows_in": rows_new,
-        "rows_out": rows, "points": rows,
-        "bytes_blobs": ckpt.dir_bytes(arch_dir / "blobs"),
-        "wall_s": time.perf_counter() - t0, "incremental": True})
+    _doc_delta("tokens_archive", "blobs", archive_tokens,
+               ["doc_id", "tokens", "n_tok", "source"], new_paths, out_dir,
+               lineage, rows_new)
 
 
 def run_rollup_incremental(
@@ -341,11 +237,12 @@ def run_rollup_incremental(
     Falls back to a plain ``run_rollup`` (full recompute / pure resume)
     whenever an incremental merge is not provably safe: no prior ingest
     state, the prior file set is not a strict subset of the current one,
-    the prior raw checkpoint is missing or lineage-stale, or a per-doc
-    stage is requested that the prior run did not produce. Returns the
-    same per-tier metrics dict as ``run_rollup``; the raw tier's
-    manifest carries ``incremental: true`` and ``new_files`` when the
-    merge path ran.
+    the prior raw checkpoint is missing or lineage-stale, the first tier
+    is gap-filled, or a per-doc stage is requested that the prior run
+    did not produce. Returns the same per-tier metrics dict as
+    ``run_rollup``; every merged tier's manifest carries ``incremental:
+    true`` (the raw one also ``new_files``, the chain's ``chained:
+    true``).
     """
     cfg = cfg or RollupConfig()
     cfg_dict = _cfg_dict(cfg, encode)
@@ -370,9 +267,14 @@ def run_rollup_incremental(
     # last run makes this mismatch and forces the full path
     prior_lineage = ckpt.lineage_hash(input_path, cfg_dict,
                                       inventory=state["inventory"])
+    prior_spans = ckpt.load_spans(out_dir, prior_lineage)
     safe = (state.get("lineage") == prior_lineage
             and prior_files < now_files
-            and ckpt.is_complete(raw_points_dir.parent, prior_lineage))
+            and ckpt.is_complete(raw_points_dir.parent, prior_lineage)
+            and prior_spans is not None
+            # a gap-filled first tier's dense domain moves with every
+            # append: it re-derives whole
+            and not (cfg.gap_fill and raw_tier.gap_fill))
     if token_features:
         safe = safe and ckpt.is_complete(Path(out_dir) / "features",
                                          prior_lineage)
@@ -382,150 +284,88 @@ def run_rollup_incremental(
     if not safe:
         return _full()
 
-    new_names = sorted(n for (n, _s) in now_files - prior_files)
-    new_paths = [os.path.join(input_path, n) for n in new_names]
+    new_paths = [os.path.join(input_path, n)
+                 for n, _s in sorted(now_files - prior_files)]
     new_bytes = sum(s for (_n, s) in now_files - prior_files)
     t0 = time.perf_counter()
 
-    # ---- merged raw tier: scan ONLY the new files; old points are partials
-    ds_new = _sized_read(new_paths,
-                         ["doc_id", *cfg.value_cols, cfg.series_key],
-                         new_bytes)
-    ds_new = ds_new.map_batches(add_time_columns, batch_format="pyarrow")
-    ds_new = ds_new.map_batches(
-        partial_rollup_batch, batch_format="pyarrow",
-        batch_size=cfg.batch_size,
-        fn_kwargs={"unit_s": raw_tier.unit_s, "value_col": cfg.value_col,
-                   "key_col": cfg.series_key})
-    rows_old, _wm_old = _points_stats(raw_points_dir)
-    old_bytes = ckpt.dir_bytes(raw_points_dir)
-    part_cols = [cfg.series_key, "bucket", "count", *cfg.partial_cols]
-    tier_gap_fill = cfg.gap_fill and raw_tier.gap_fill
-    tmp_points = raw_points_dir.parent / "points.ingest-tmp"
-    tmp_blobs = raw_blobs_dir.parent / "blobs.ingest-tmp"
-    for d in (tmp_points, tmp_blobs):
-        if d.exists():
-            shutil.rmtree(d)
-    spans = None
-    mpath = ckpt.manifest_path(raw_points_dir.parent)
-    prior_spans = None
-    if not tier_gap_fill:
-        # SELECTIVE merge: only the (key, segment) groups the delta
-        # touches re-enter the kernel; untouched points stream straight
-        # through to the rewrite of THEIR partition, untouched BLOB
-        # files stay in place (partition-addressed, atomic per-file
-        # rename overwrites exactly the touched ones), and untouched
-        # points partition dirs never leave the disk. Per-ingest cost
-        # is O(touched partitions + delta) — independent of both the
-        # old corpus and the total rolled-point count.
-        ds_new = ds_new.materialize()  # delta-sized
-        seg_span = cfg.segment_points * raw_tier.unit_s
-        touched = _collect_groups(ds_new, cfg.series_key, seg_span)
-        if not _selective_tier_merge(raw_points_dir, raw_blobs_dir,
-                                     raw_tier, cfg, ds_new, touched,
-                                     encode=encode, gap_fill=False,
-                                     spans={}):
-            # legacy flat layout (nothing mutated yet): full recompute
-            return _full()
-        # spans update is O(delta) too: merge the prior run's sidecar
-        # with the delta's per-key spans instead of rescanning all points
-        prior_spans = ckpt.load_spans(out_dir, prior_lineage)
-        if prior_spans is not None:
-            delta_spans = spans_from_partials(ds_new, key_col=cfg.series_key)
-            spans = dict(prior_spans)
-            for sk, (lo, hi) in delta_spans.items():
-                cur = spans.get(sk)
-                spans[sk] = ((min(cur[0], lo), max(cur[1], hi))
-                             if cur else (lo, hi))
-    else:
-        # whole-merge path (gap-filled first tier): appended data can
-        # extend per-key spans, so gap rows re-synthesize over the
-        # merged span table and the tier rewrites whole
-        from .rollup_pipeline import write_tier_points
-
-        old_parts = _sized_read(str(raw_points_dir), part_cols,
-                                old_bytes).map_batches(
-            _points_to_partials, batch_format="pyarrow",
-            fn_kwargs={"key_col": cfg.series_key,
-                       "partial_cols": cfg.partial_cols})
-        partials = old_parts.union(ds_new).materialize()
-        spans = spans_from_partials(partials, key_col=cfg.series_key)
-        points = run_tier(
-            partials, raw_tier.name, raw_tier.unit_s, cfg.segment_points,
-            spans, gap_fill=True,
-            blobs_dir=str(tmp_blobs) if encode else None,
-            key_col=cfg.series_key, measures=cfg.measures)
-        write_tier_points(points, tmp_points, cfg, raw_tier.unit_s)
-        if mpath.exists():
-            mpath.unlink()
-        shutil.rmtree(raw_points_dir)
-        os.replace(tmp_points, raw_points_dir)
-        if encode:
-            if raw_blobs_dir.exists():
-                shutil.rmtree(raw_blobs_dir)
-            os.replace(tmp_blobs, raw_blobs_dir)
-    if spans is None:
-        spans = spans_from_partials(
-            ray.data.read_parquet(str(raw_points_dir),
-                                  columns=[cfg.series_key, "bucket"]),
-            key_col=cfg.series_key)
+    # ---- scan ONLY the new files: the delta's raw partials, and per
+    # block its footprint and its partials re-bucketed to the first
+    # coarse tier; only the footprints reach the driver
+    ds_new = raw_partials(_sized_read(
+        new_paths, ["doc_id", *cfg.value_cols, cfg.series_key], new_bytes),
+        cfg).materialize()  # delta-sized
+    unit_s = (cfg.tiers[1:] or cfg.tiers)[0].unit_s
+    blocks = [_delta_block.remote(b, cfg, unit_s)
+              for b in ds_new.to_arrow_refs()]
+    heads = ray.get([h for h, _ in blocks])
+    coarse = [c for h, (_, c) in zip(heads, blocks) if h is not None]
+    if not coarse:  # appended files with no rows: nothing to merge
+        return _full()
+    foot = pa.concat_tables([h[0] for h in heads if h is not None])
+    delta_bytes = sum(h[1] for h in heads if h is not None)
+    # spans update is O(delta) too: merge the prior run's sidecar with
+    # the delta's per-key spans instead of rescanning all points
+    spans = dict(prior_spans)
+    d = foot.group_by(cfg.series_key).aggregate([("bucket", "min"),
+                                                 ("hi", "max")])
+    for sk, lo, hi in zip(*(d[c].to_pylist() for c in
+                            (cfg.series_key, "bucket_min", "hi_max"))):
+        cur = spans.get(sk)
+        spans[sk] = (min(cur[0], lo), max(cur[1], hi)) if cur else (lo, hi)
     ckpt.save_spans(out_dir, spans, new_lineage)
-    rows, watermark = _points_stats(raw_points_dir)
     rows_new = _input_rows(new_paths[0] if len(new_paths) == 1 else new_paths)
-    ckpt.save_manifest(raw_points_dir.parent, {
-        "tier": raw_tier.name, "lineage": new_lineage,
-        "rows_in": rows_old + rows_new, "rows_out": rows, "points": rows,
-        "bytes_blobs": ckpt.dir_bytes(raw_blobs_dir) if encode else 0,
-        "watermark": watermark, "wall_s": time.perf_counter() - t0,
-        "input": input_path, "n_sources": len(spans),
-        "incremental": True, "new_files": len(new_paths)})
+    rows_in = ckpt.load_manifest(raw_points_dir.parent)["rows_out"] + rows_new
 
-    # ---- cascade tiers merge selectively too: the delta's raw partials
-    # re-bucket to each tier (integer aggregation is associative, so
-    # old-tier-points + delta-partials == re-derivation from the merged
-    # raw tier bit-for-bit); gap domains change only where a key's span
-    # extended, and exactly those (key, segment) groups join the touched
-    # set with count-0 seeds. Any tier that cannot merge selectively
-    # (missing prior checkpoint, unpartitioned layout, unknown prior
-    # spans) is left lineage-stale and re-derives in the final
-    # run_rollup pass below — never a silent partial merge.
-    if not tier_gap_fill and prior_spans is not None:
-        from ..stages.rollup import cascade_batch
-
-        prev_points_dir = raw_points_dir
-        for tier in cfg.tiers[1:]:
-            p_dir, b_dir = _tier_dirs(out_dir, tier.name)
-            if not ckpt.is_complete(p_dir.parent, prior_lineage):
-                break
-            t0k = time.perf_counter()
-            seg_span_k = cfg.segment_points * tier.unit_s
-            delta_k = ds_new.map_batches(
-                cascade_batch, batch_format="pyarrow",
-                fn_kwargs={"unit_s": tier.unit_s,
-                           "measures": cfg.measures}).materialize()
-            touched_k = _collect_groups(delta_k, cfg.series_key, seg_span_k)
-            tier_gap = cfg.gap_fill and tier.gap_fill
-            seeds = None
-            if tier_gap:
-                touched_k |= _extension_groups(prior_spans, spans, seg_span_k)
-                seeds = _seed_rows(touched_k, spans, tier.unit_s, seg_span_k,
-                                   cfg.series_key,
-                                   partial_cols=cfg.partial_cols)
-            if not _selective_tier_merge(p_dir, b_dir, tier, cfg, delta_k,
-                                         touched_k, encode=encode,
-                                         gap_fill=tier_gap, spans=spans,
-                                         seeds=seeds):
-                break
-            rows_k, wm_k = _points_stats(p_dir)
-            ckpt.save_manifest(p_dir.parent, {
-                "tier": tier.name, "lineage": new_lineage,
-                "rows_in": _input_rows(str(prev_points_dir)),
-                "rows_out": rows_k, "points": rows_k,
-                "bytes_blobs": ckpt.dir_bytes(b_dir) if encode else 0,
-                "watermark": wm_k, "wall_s": time.perf_counter() - t0k,
-                "input": str(prev_points_dir), "n_sources": len(spans),
-                "incremental": True})
-            prev_points_dir = p_dir
+    # ---- every tier merges the delta's raw partials, re-bucketed to it
+    # (integer aggregation is associative, so old-tier-points +
+    # delta-partials == re-derivation from the merged raw tier
+    # bit-for-bit). Only the (key, segment) groups the delta touches
+    # re-enter the kernel. The raw tier merges by its own selective
+    # shuffle; from the first coarse tier on whose chain input (the
+    # re-bucketed delta plus the touched partitions of it and the tiers
+    # after it) fits, one ``_coarse_chain`` task merges the rest, and a
+    # coarse tier before that point shuffles too. Merging stops at the
+    # first tier without a lineage-valid prior checkpoint or with an
+    # unpartitioned layout (nothing mutated): it and the tiers after it
+    # are left lineage-stale and re-derive in the final run_rollup pass
+    # below — never a silent partial merge.
+    merge = [raw_tier]
+    for tier in cfg.tiers[1:]:
+        if not ckpt.is_complete(_tier_dirs(out_dir, tier.name)[0].parent,
+                                prior_lineage):
+            break
+        merge.append(tier)
+    parts = []  # per tier: touched group ids, files of their partitions
+    for tier in merge:
+        touched = touched_groups(
+            foot, cfg.series_key, cfg.segment_points * tier.unit_s,
+            prior_spans if cfg.gap_fill and tier.gap_fill else None, spans)
+        parts.append((touched, _touched_files(
+            _tier_dirs(out_dir, tier.name)[0], touched, cfg)))
+    prev_dir = input_path
+    for k, tier in enumerate(merge):
+        if k and _chain_fits(delta_bytes + sum(
+                os.path.getsize(f) for _, files in parts[k:] for f in files)):
+            _run_chain(partial(_concat_blocks, coarse), out_dir, cfg,
+                       merge[k:], merge[k - 1].name, spans, encode,
+                       new_lineage, parts[k:], incremental=True)
+            break
+        p_dir, b_dir = _tier_dirs(out_dir, tier.name)
+        part = ds_new if not k else ray.data.from_arrow_refs(
+            coarse).map_batches(
+            cascade_batch, batch_format="pyarrow",
+            fn_kwargs={"unit_s": tier.unit_s, "measures": cfg.measures,
+                       "key_col": cfg.series_key})
+        if not _selective_tier_merge(p_dir, b_dir, tier, cfg, part,
+                                     parts[k][0], encode=encode, spans=spans):
+            break
+        m = _save_tier_manifest(
+            out_dir, tier.name, lineage=new_lineage, rows_in=rows_in,
+            wall_s=time.perf_counter() - t0, input=str(prev_dir),
+            n_sources=len(spans), incremental=True,
+            **({} if k else {"new_files": len(new_paths)}))
+        prev_dir, rows_in, t0 = p_dir, m["rows_out"], time.perf_counter()
 
     # ---- per-doc stages: delta over the new files only
     if token_features:
@@ -533,6 +373,6 @@ def run_rollup_incremental(
     if token_archive:
         _archive_delta(new_paths, out_dir, new_lineage, rows_new)
 
-    # ---- cascades re-derive from the merged raw points; raw and per-doc
-    # stages are checkpoint-complete under the new lineage and skipped
+    # ---- tiers left stale re-derive from the merged ones; completed
+    # tiers and per-doc stages are skipped
     return _full()

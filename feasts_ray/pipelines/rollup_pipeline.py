@@ -9,9 +9,13 @@ Dataflow (SURVEY.md §7.1, north rule):
          merge partials + LOCAL gap-fill + mean + time sort + Gorilla
          encode (blobs written to partition-addressed files in-kernel)
     -> write points parquet; per-source [lo, hi] spans from raw points
-  remaining coarse tiers (1m -> 1h -> 1d): ONE task reads the prior
-    tier's points once and runs cascade + seeds + the same kernel tier
-    after tier in memory, writing each tier's points and blobs
+  remaining coarse tiers (1m -> 1h -> 1d): ONE task (_coarse_chain)
+    reads the prior tier's points once and runs cascade + seeds + the
+    same kernel tier after tier in memory, each tier re-bucketing the
+    previous tier's input, writing each tier's points and blobs. Ingest
+    runs the same task over the delta re-bucketed to 1m, merging into
+    the stored points of the touched (key, segment) groups, when the
+    delta plus those partitions are under CHAIN_BYTES (incremental.py)
   _CHECKPOINT.json per tier, in tier order: a resume restarts the chain
   at the first incomplete tier
   fused doc stage (features + archive) runs BESIDE the tiers: built on
@@ -25,9 +29,11 @@ and cuts group count 4096x. See stages/tier_kernel.py.
 
 from __future__ import annotations
 
+import os
 import shutil
 import time
 from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 from pathlib import Path
 
 import pyarrow as pa
@@ -65,8 +71,6 @@ def _file_inventory(input_path: str) -> list[list]:
     lineage hash, so appending files invalidates stale checkpoints (a
     resumed run recomputes instead of silently skipping); the incremental
     path diffs inventories to find the files added since the last run."""
-    import os
-
     try:
         return sorted(
             [f, os.path.getsize(os.path.join(input_path, f))]
@@ -151,9 +155,8 @@ def read_points_range(
     pruned = _range_part_dirs(points_dir, lo, hi,
                               _points_part_span(cfg, tier.unit_s))
     if not pruned:
-        schema = pads.dataset(str(points_dir)).schema
-        empty = pa.table({f.name: pa.array([], type=f.type) for f in schema})
-        return ray.data.from_arrow(empty.select(columns))
+        return ray.data.from_arrow(
+            pads.dataset(str(points_dir)).schema.empty_table().select(columns))
     # expand to files: Ray 2.49 read_parquet rejects a LIST of
     # directories (single dir paths are expanded, lists are not)
     paths = [str(f) for d in pruned
@@ -178,9 +181,23 @@ def read_token_table(input_path: str, columns=("doc_id", "n_tok", "source")) -> 
     35.5 s to 15.6 s at 16 CPUs (sort wall 32 s -> ~6 s); the same
     sizing rule the cascade tiers already use on their re-reads.
     """
-    nblk = max(_cluster_cpus(), _input_bytes(input_path) // (128 << 20))
-    return ray.data.read_parquet(input_path, columns=list(columns),
-                                 override_num_blocks=nblk)
+    return _sized_read(input_path, list(columns), _input_bytes(input_path))
+
+
+def _sized_read(paths: list[str] | str, columns: list[str],
+                nbytes: int) -> "ray.data.Dataset":
+    """Read parquet in ~128 MB blocks, at least one per CPU."""
+    return ray.data.read_parquet(
+        paths, columns=columns,
+        override_num_blocks=max(_cluster_cpus(), nbytes // (128 << 20)))
+
+
+def raw_partials(docs: "ray.data.Dataset", cfg: RollupConfig) -> "ray.data.Dataset":
+    """Token rows -> the first tier's (key, bucket) partials."""
+    return docs.map_batches(add_time_columns, batch_format="pyarrow").map_batches(
+        partial_rollup_batch, batch_format="pyarrow", batch_size=cfg.batch_size,
+        fn_kwargs={"unit_s": cfg.tiers[0].unit_s, "value_col": cfg.value_col,
+                   "key_col": cfg.series_key})
 
 
 def _tier_dirs(out_dir: str, tier_name: str) -> tuple[Path, Path]:
@@ -280,30 +297,101 @@ def run_token_features_and_archive(docs: "ray.data.Dataset", input_path: str,
                 wall_s_in="features")}
 
 
-@ray.remote
-def _coarse_chain(prev_points: str, out_dir: str, tiers, cfg: RollupConfig,
-                  spans: dict, encode: bool) -> list[float]:
-    """Every remaining coarse tier in one task: read the prior tier's
-    points once, run ``cascade_chain``, write each tier's points (the
-    seg_part layout of ``write_tier_points``) and blobs. Returns each
-    tier's wall; the driver saves the manifests, in tier order."""
-    points = pads.dataset(prev_points).to_table(
+def _chain_fits(nbytes: int) -> bool:
+    """Whether the tiers from here on run as one ``_coarse_chain`` task:
+    the ``nbytes`` it loads (a build: the prior tier's points; an
+    ingest: the delta plus the touched partitions) are under CHAIN_BYTES."""
+    return nbytes < CHAIN_BYTES
+
+
+def _touched_files(points_dir: Path, touched: pa.Array,
+                   cfg: RollupConfig) -> list[str]:
+    """Parquet files of the seg_part dirs holding the ``touched`` (key,
+    segment) groups. Files, not dirs: Ray 2.49 read_parquet expands ONE
+    directory path, but a LIST of directories raises "Cannot open for
+    reading: ... is a directory"."""
+    parts = {int(g.rsplit("\x1f", 1)[1]) // cfg.points_partition_segs
+             for g in touched.to_pylist()}
+    return [str(f) for d in sorted(points_dir.glob("seg_part=*"))
+            if int(d.name.split("=", 1)[1]) in parts
+            for f in sorted(d.glob("*.parquet"))]
+
+
+def _read_partials(points_dir: str, cfg: RollupConfig) -> pa.Table:
+    """A tier's stored points, as the next tier's partials."""
+    return pads.dataset(points_dir).to_table(
         columns=[cfg.series_key, "bucket", "count", *cfg.partial_cols])
+
+
+def _swap_parts(tmp_points: Path, points_dir: Path) -> None:
+    """Move each seg_part dir of a rewrite into ``points_dir``, replacing
+    the one it rewrote; every other partition stays in place."""
+    points_dir.mkdir(parents=True, exist_ok=True)
+    for src in sorted(tmp_points.glob("seg_part=*")):
+        dst = points_dir / src.name
+        if dst.exists():
+            shutil.rmtree(dst)
+        os.replace(src, dst)
+    # a zero-row rewrite writes nothing and creates no tmp dir at all
+    shutil.rmtree(tmp_points, ignore_errors=True)
+
+
+@ray.remote
+def _coarse_chain(load, out_dir: str, tiers, cfg: RollupConfig,
+                  spans: dict, encode: bool, stored=None) -> list[float]:
+    """Every remaining coarse tier in one task: run ``cascade_chain`` over
+    the partials ``load()`` returns and write each tier's points (the
+    seg_part layout of ``write_tier_points``) and blobs. A build
+    (``stored`` None) rewrites the tiers whole. An ingest passes, per
+    tier, the touched group ids and the files of the partitions holding
+    them: those partitions are rebuilt in a tmp dir and swapped in,
+    touched blob files overwritten in place. Returns each tier's wall;
+    the driver saves the manifests, in tier order."""
     dirs = [_tier_dirs(out_dir, t.name) for t in tiers]
-    _clear(*(d for pair in dirs for d in pair))
-    chain = cascade_chain(points, tiers,
-                          [str(b) if encode else None for _, b in dirs],
-                          cfg.segment_points, spans, cfg.gap_fill,
-                          cfg.series_key, cfg.measures)
+    if stored is None:
+        _clear(*(d for pair in dirs for d in pair))
+    chain = cascade_chain(
+        load(), tiers, [str(b) if encode else None for _, b in dirs],
+        cfg.segment_points, spans, cfg.gap_fill, cfg.series_key,
+        cfg.measures, None if stored is None else (
+            (touched, pads.dataset(files).to_table() if files else None)
+            for touched, files in stored))
     walls, t0 = [], time.perf_counter()
     for tier, (points_dir, _), out in zip(tiers, dirs, chain):
-        pads.write_dataset(
-            _add_seg_part(out, _points_part_span(cfg, tier.unit_s)),
-            points_dir, format="parquet", partitioning=["seg_part"],
-            partitioning_flavor="hive", use_threads=False)
+        tmp = points_dir.parent / "points.tmp"
+        _clear(tmp)
+        if out is not None:
+            pads.write_dataset(
+                _add_seg_part(out, _points_part_span(cfg, tier.unit_s)),
+                tmp, format="parquet", partitioning=["seg_part"],
+                partitioning_flavor="hive", use_threads=False)
+        _swap_parts(tmp, points_dir)
         walls.append(time.perf_counter() - t0)
         t0 = time.perf_counter()
     return walls
+
+
+def _run_chain(load, out_dir: str, cfg: RollupConfig, tiers, prev: str,
+               spans: dict, encode: bool, lineage: str, stored=None,
+               **fields) -> dict[str, dict]:
+    """Run ``tiers`` (the ones after tier ``prev``) as one
+    ``_coarse_chain`` task. Their manifests are invalidated before and
+    saved after, in tier order, so a crash re-derives the rest."""
+    for t in tiers:
+        ckpt.manifest_path(_tier_dirs(out_dir, t.name)[0].parent).unlink(
+            missing_ok=True)
+    walls = ray.get(_coarse_chain.remote(load, out_dir, tiers, cfg, spans,
+                                         encode, stored))
+    metrics = {}
+    for t, wall in zip(tiers, walls):
+        prev_dir = _tier_dirs(out_dir, prev)[0]
+        metrics[t.name] = _save_tier_manifest(
+            out_dir, t.name, lineage=lineage, wall_s=wall,
+            rows_in=ckpt.load_manifest(prev_dir.parent)["rows_out"],
+            chained=True, input=str(prev_dir), n_sources=len(spans),
+            **fields)
+        prev = t.name
+    return metrics
 
 
 def _save_tier_manifest(out_dir: str, tier_name: str, **fields) -> dict:
@@ -333,32 +421,19 @@ def _run_tiers(input_path: str, out_dir: str, cfg: RollupConfig,
                 spans = ckpt.load_spans(out_dir, lineage)
             prev_points = points_dir
             continue
-        prev_bytes = ckpt.dir_bytes(prev_points) if k else 0
-        if k and prev_bytes < CHAIN_BYTES:
-            walls = ray.get(_coarse_chain.remote(
-                str(prev_points), out_dir, cfg.tiers[k:], cfg, spans or {},
-                encode))
-            for prev, t, wall in zip(cfg.tiers[k - 1:], cfg.tiers[k:], walls):
-                metrics[t.name] = _save_tier_manifest(
-                    out_dir, t.name, lineage=lineage, wall_s=wall,
-                    rows_in=metrics[prev.name]["rows_out"], chained=True,
-                    input=str(_tier_dirs(out_dir, prev.name)[0]),
-                    n_sources=len(spans or {}))
+        if prev_points is not None and _chain_fits(
+                ckpt.dir_bytes(prev_points)):
+            metrics.update(_run_chain(
+                partial(_read_partials, str(prev_points), cfg), out_dir,
+                cfg, cfg.tiers[k:], cfg.tiers[k - 1].name, spans or {},
+                encode, lineage))
             break
         _clear(points_dir, blobs_dir)
         t0 = time.perf_counter()
         if k == 0:
-            ds = read_token_table(
-                input_path,
-                columns=("doc_id", *cfg.value_cols, cfg.series_key))
-            ds = ds.map_batches(add_time_columns, batch_format="pyarrow")
-            ds = ds.map_batches(
-                partial_rollup_batch,
-                batch_format="pyarrow",
-                batch_size=cfg.batch_size,
-                fn_kwargs={"unit_s": tier.unit_s, "value_col": cfg.value_col,
-                           "key_col": cfg.series_key},
-            )
+            ds = raw_partials(read_token_table(
+                input_path, columns=("doc_id", *cfg.value_cols,
+                                     cfg.series_key)), cfg)
             # Coalesce the partials before the sort: read blocks scale
             # with INPUT bytes (good for read/agg parallelism) but the
             # sort's block-slice count is O(blocks^2) pure scheduling —
@@ -380,11 +455,10 @@ def _run_tiers(input_path: str, out_dir: str, cfg: RollupConfig,
             # tier wrote one small file per kernel task, and inheriting
             # 100+ KB-sized blocks makes the next shuffle pure scheduling
             # overhead (measured: 1m tier sort 17.7 s for 11 MB of rows).
-            ds = ray.data.read_parquet(
+            ds = _sized_read(
                 str(prev_points),
-                columns=[cfg.series_key, "bucket", "count", *cfg.partial_cols],
-                override_num_blocks=max(_cluster_cpus(),
-                                        prev_bytes // (128 << 20)),
+                [cfg.series_key, "bucket", "count", *cfg.partial_cols],
+                ckpt.dir_bytes(prev_points),
             ).map_batches(
                 cascade_batch, batch_format="pyarrow",
                 fn_kwargs={"unit_s": tier.unit_s, "measures": cfg.measures}

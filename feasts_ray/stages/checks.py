@@ -56,19 +56,3 @@ def check_regular(ds: "ray.data.Dataset", key_col: str, bucket_col: str,
         bad = out.loc[~out["regular"], key_col].tolist()
         raise GapCheckError(f"keys {bad} form an irregular time series")
     return out
-
-
-def ensure_ordered(ds: "ray.data.Dataset", key_col: str, bucket_col: str) -> "ray.data.Dataset":
-    """The reference aborts on unordered input (check_ordered,
-    R/dcmp_checks.R:13-18); we sort instead — cheaper than a failed job.
-    Per-series kernels also sort within group, so this is only needed when
-    a globally ordered table is the contract."""
-    return ds.sort([key_col, bucket_col])
-
-
-def check_nonempty(ds: "ray.data.Dataset", strict: bool = True) -> int:
-    n = ds.count()
-    if strict and n == 0:
-        raise ValueError("There is no data to decompose. Please provide a dataset "
-                         "with at least one observation.")
-    return n

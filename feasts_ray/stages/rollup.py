@@ -43,6 +43,16 @@ def int64s(col) -> np.ndarray:
     return np.asarray(col.to_numpy(zero_copy_only=False), dtype=np.int64)
 
 
+def no_nulls(batch: pa.Table, col: str):
+    """``batch[col]``, checked: a null or NaN measure value has no exact
+    integer partial, so it raises a ValueError naming the column."""
+    c = batch[col]
+    if c.null_count or (pa.types.is_floating(c.type)
+                        and pc.any(pc.is_nan(c)).as_py()):
+        raise ValueError(f"measure column {col!r} holds null or NaN values")
+    return c
+
+
 def masked_ints(col) -> tuple[np.ndarray, np.ndarray]:
     """Arrow integer column -> (int64 values, validity); nulls read 0."""
     if col.null_count == 0:
@@ -127,7 +137,7 @@ def partial_rollup_batch(
     bucket = floor_bucket(batch[ts_col].to_numpy(zero_copy_only=False), unit_s)
     measures = []
     for vc, x in zip(vcols, measure_suffixes(vcols if multi else None)):
-        v = int64s(batch[vc])
+        v = int64s(no_nulls(batch, vc))
         ok = np.ones(len(v), dtype=bool)
         measures.append((x, v, (v, ok), (v, ok)))
     return _combine(batch[key_col], bucket, None, measures, key_col)

@@ -7,7 +7,8 @@ of groups. Grouping by (source, segment) instead gives bounded-size
 groups (<= SEGMENT_POINTS buckets, the segment is also the anti-skew
 salt) and a group count 4096x smaller, and the per-group work is fully
 vectorized numpy. At most one shuffle per tier; tiers whose input is
-a few MB run back to back in one task with no shuffle (cascade_chain).
+a few MB run back to back in one task with no shuffle (cascade_chain),
+in a build and in an ingest that merges into the stored tiers.
 
 Gap-fill becomes LOCAL: the per-source bucket domain [lo, hi] is known
 from a driver-side reduce of per-batch span partials (O(#sources),
@@ -36,10 +37,12 @@ lineage; SURVEY.md §4.2 idempotent sinks).
 
 from __future__ import annotations
 
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 import ray
@@ -85,6 +88,18 @@ def _seed_index(spans: dict[str, tuple[int, int]], unit_s: int,
     return np.array(keys, dtype=object), lo, seg_lo, starts
 
 
+def _seed_ids(index, touched: pa.Array | None) -> np.ndarray:
+    """Ids into ``_seed_index`` of every expected (key, segment) group,
+    or of the ``touched_groups`` only (all inside the index's spans)."""
+    keys_arr, _, seg_lo, starts = index
+    if touched is None:
+        return np.arange(starts[-1])
+    parts = [g.rsplit("\x1f", 1) for g in touched.to_pylist()]
+    ki = np.searchsorted(keys_arr, np.array([k for k, _ in parts], dtype=object))
+    seg = np.array([int(s) for _, s in parts], dtype=np.int64)
+    return starts[ki] + seg - seg_lo[ki]
+
+
 def _seed_rows(batch: dict, index, seg_span: int, key_col: str,
                sfx: tuple[str, ...]) -> pa.Table:
     """Seed rows ``batch["id"]`` of ``_seed_index`` (``index`` or its
@@ -109,17 +124,69 @@ def _seed_rows(batch: dict, index, seg_span: int, key_col: str,
 
 def skeleton_rows(spans: dict[str, tuple[int, int]], unit_s: int,
                   seg_span: int, key_col: str = "source",
-                  measures: tuple[str, ...] | None = None) -> "ray.data.Dataset":
+                  measures: tuple[str, ...] | None = None,
+                  touched: pa.Array | None = None) -> "ray.data.Dataset":
     """One seed row per expected (source, segment) so empty segments still
-    form groups. Generated distributively from ray.data.range — no giant
-    driver list even with 10^8 segments."""
+    form groups, or per ``touched`` group only. Generated distributively
+    from ray.data.range — no giant driver list even with 10^8 segments."""
     index = _seed_index(spans, unit_s, seg_span)
+    ids = (ray.data.range(int(index[3][-1])) if touched is None else
+           ray.data.from_arrow(pa.table({"id": _seed_ids(index, touched)})))
     # O(#sources) lookup arrays ship once via the object store, not in
     # every task's closure
-    return ray.data.range(int(index[3][-1])).map_batches(
+    return ids.map_batches(
         _seed_rows, batch_format="numpy", batch_size=65536,
         fn_kwargs={"index": _put_once(index), "seg_span": seg_span,
                    "key_col": key_col, "sfx": measure_suffixes(measures)})
+
+
+def group_ids(batch: pa.Table, key_col: str, seg_span: int) -> pa.Array:
+    """'key\\x1fsegment' id of each row's (key, segment) group."""
+    seg = int64s(batch["bucket"]) // seg_span
+    return pc.binary_join_element_wise(
+        pc.cast(batch[key_col], pa.string()),
+        pa.array(seg.astype("U"), type=pa.string()), "\x1f")
+
+
+def filter_touched(batch: pa.Table, key_col: str, seg_span: int, touched,
+                   keep_touched: bool) -> pa.Table:
+    """Split a tier's points by whether their (key, segment) group is in
+    ``touched`` (``touched_groups`` ids, or their ray.put broadcast,
+    resolved once per worker process). Touched points re-enter the
+    kernel as partials, so their gap rows (count 0, null min/max) are
+    dropped too."""
+    m = pc.is_in(group_ids(batch, key_col, seg_span),
+                 value_set=_resolve_broadcast(touched))
+    if keep_touched:
+        return batch.filter(pc.and_(m, pc.greater(batch["count"], 0)))
+    return batch.filter(pc.invert(m))
+
+
+def touched_groups(partials: pa.Table, key_col: str, seg_span: int,
+                   prior_spans: dict | None = None,
+                   spans: dict | None = None) -> pa.Array:
+    """Ids of the (key, segment) groups a merge of ``partials`` into a
+    stored tier re-derives: the groups they hit and, for a gap-filled
+    tier (``prior_spans``: the spans the tier was built over), the groups
+    whose dense domain moves because a key's span grew to ``spans`` —
+    the segments between the old and new bounds, INCLUSIVE of the old
+    boundary segment (its domain clip moves, so its gap rows and blob
+    re-emit with no new point in it). Bounded by the delta and by
+    #keys x (delta timespan / seg_span)."""
+    ext: list[str] = []
+    for k, (lo, hi) in spans.items() if prior_spans is not None else ():
+        old = prior_spans.get(k)
+        if old is None:
+            segs = range(lo // seg_span, hi // seg_span + 1)
+        else:
+            segs = []
+            if lo < old[0]:
+                segs = list(range(lo // seg_span, old[0] // seg_span + 1))
+            if hi > old[1]:
+                segs += list(range(old[1] // seg_span, hi // seg_span + 1))
+        ext.extend(f"{k}\x1f{s}" for s in segs)
+    return pc.unique(pa.chunked_array(
+        [group_ids(partials, key_col, seg_span), pa.array(ext, pa.string())]))
 
 
 def add_segment(batch: pa.Table, seg_span: int) -> pa.Table:
@@ -258,22 +325,22 @@ def run_tier(
     gap_fill: bool,
     blobs_dir: str | None,
     key_col: str = "source",
-    skeleton: bool = True,
     measures: tuple[str, ...] | None = None,
+    touched: pa.Array | None = None,
 ) -> "ray.data.Dataset":
     """partials (key,bucket,count,sum,min,max) -> final tier points; the
     ONE shuffle is groupby(key, segment) with bounded groups.
 
-    ``skeleton=False`` skips the per-(key, segment) seed generation:
-    the selective incremental merge provides seeds for exactly the
-    touched groups itself (a full-span skeleton would resurrect every
-    untouched group as a duplicate gap-only emission).
+    A gap-filled tier seeds every (key, segment) group of ``spans``, or
+    only the ``touched`` ones (``touched_groups``) when merging into a
+    stored tier: a full-span skeleton would resurrect every untouched
+    group as a duplicate gap-only emission.
     """
     seg_span = segment_points * unit_s
     seeded = partials
-    if gap_fill and skeleton:
-        seeded = partials.union(
-            skeleton_rows(spans, unit_s, seg_span, key_col, measures))
+    if gap_fill:
+        seeded = partials.union(skeleton_rows(spans, unit_s, seg_span,
+                                              key_col, measures, touched))
     with_seg = seeded.map_batches(add_segment, batch_format="pyarrow",
                                   fn_kwargs={"seg_span": seg_span})
     # task-based map_groups (function, not actor pool): tasks scale
@@ -294,24 +361,41 @@ def run_tier(
     )
 
 
-def cascade_chain(points: pa.Table, tiers, blobs_dirs, segment_points: int,
+def cascade_chain(partials: pa.Table, tiers, blobs_dirs, segment_points: int,
                   spans: dict[str, tuple[int, int]], gap_fill: bool,
                   key_col: str = "source",
-                  measures: tuple[str, ...] | None = None):
-    """Coarse tiers back to back in memory, zero shuffle: the finer tier's
-    ``points`` re-bucket into ``tiers[0]``, whose output feeds
-    ``tiers[1]``...; yields each tier's points. Every (key, segment) group
-    runs the kernel of the groupby path, so the point sets are identical."""
+                  measures: tuple[str, ...] | None = None, stored=None):
+    """Coarse tiers back to back in memory, zero shuffle; yields each
+    tier's points. ``partials`` (a finer tier's points, or raw partials)
+    re-bucket into ``tiers[0]``, and that re-bucketed table, not the
+    kernel output, feeds ``tiers[1]``...: integer merges give the same
+    values either way.
+
+    A build (``stored`` None) re-derives every group. A merge into
+    stored tiers passes ``stored``, one ``(touched, rows)`` per tier: the
+    ``touched_groups`` ids and the stored rows of the partitions holding
+    them (None: no row). It re-derives only the touched groups, from
+    their stored points plus the input, and yields every row of the
+    touched partitions, the untouched ones copied through (None: no row).
+    Every (key, segment) group runs the kernel of the groupby path, so
+    the point sets are identical."""
     sfx = measure_suffixes(measures)
-    for tier, blobs_dir in zip(tiers, blobs_dirs):
+    for tier, blobs_dir, merge in zip(tiers, blobs_dirs,
+                                      stored or repeat((None, None))):
         seg_span = segment_points * tier.unit_s
         tier_gap_fill = gap_fill and tier.gap_fill
-        t = cascade_batch(points, tier.unit_s, measures)
+        partials = cascade_batch(partials, tier.unit_s, measures, key_col)
+        (touched, rows), t, out = merge, partials, []
+        if rows is not None:
+            out.append(filter_touched(rows, key_col, seg_span, touched, False))
+            t = pa.concat_tables([filter_touched(
+                rows, key_col, seg_span, touched, True).select(t.column_names),
+                t])
         if tier_gap_fill:
             index = _seed_index(spans, tier.unit_s, seg_span)
-            t = pa.concat_tables(
-                [t, _seed_rows({"id": np.arange(index[3][-1])}, index,
-                               seg_span, key_col, sfx)])
+            t = pa.concat_tables([t, _seed_rows(
+                {"id": _seed_ids(index, touched)}, index, seg_span, key_col,
+                sfx)])
         kernel = TierSegmentKernel(tier.name, tier.unit_s, seg_span, spans,
                                    tier_gap_fill, blobs_dir, key_col, measures)
         # groups in (segment, key) order, as the groupby path emits them,
@@ -323,6 +407,6 @@ def cascade_chain(points: pa.Table, tiers, blobs_dirs, segment_points: int,
             .to_numpy(zero_copy_only=False)
         cuts = np.flatnonzero((segs[1:] != segs[:-1]) | (keys[1:] != keys[:-1]))
         bounds = np.concatenate([[0], cuts + 1, [len(t)]])
-        points = pa.concat_tables(
-            [kernel(t.slice(lo, hi - lo)) for lo, hi in zip(bounds, bounds[1:])])
-        yield points
+        out += [kernel(t.slice(lo, hi - lo))
+                for lo, hi in zip(bounds, bounds[1:]) if hi > lo]
+        yield pa.concat_tables(out) if out else None

@@ -39,8 +39,7 @@ def manifest_path(tier_dir: str | Path) -> Path:
     return Path(tier_dir) / MANIFEST_NAME
 
 
-def load_manifest(tier_dir: str | Path) -> dict[str, Any] | None:
-    p = manifest_path(tier_dir)
+def _read_json(p: Path) -> dict[str, Any] | None:
     if not p.exists():
         return None
     try:
@@ -49,19 +48,26 @@ def load_manifest(tier_dir: str | Path) -> dict[str, Any] | None:
         return None
 
 
+def _write_json(p: Path, payload: dict[str, Any]) -> None:
+    p.parent.mkdir(parents=True, exist_ok=True)
+    tmp = str(p) + ".tmp"
+    with open(tmp, "w") as f:
+        json.dump(payload, f, indent=1, default=str)
+    os.replace(tmp, p)
+
+
+def load_manifest(tier_dir: str | Path) -> dict[str, Any] | None:
+    return _read_json(manifest_path(tier_dir))
+
+
 def is_complete(tier_dir: str | Path, lineage: str) -> bool:
     m = load_manifest(tier_dir)
     return bool(m) and m.get("lineage") == lineage and m.get("status") == "complete"
 
 
 def save_manifest(tier_dir: str | Path, payload: dict[str, Any]) -> None:
-    p = manifest_path(tier_dir)
-    p.parent.mkdir(parents=True, exist_ok=True)
-    payload = dict(payload, completed_at=time.time(), status="complete")
-    tmp = str(p) + ".tmp"
-    with open(tmp, "w") as f:
-        json.dump(payload, f, indent=1, default=str)
-    os.replace(tmp, p)
+    _write_json(manifest_path(tier_dir),
+                dict(payload, completed_at=time.time(), status="complete"))
 
 
 SPANS_NAME = "_SPANS.parquet"

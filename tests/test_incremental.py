@@ -71,9 +71,11 @@ def test_incremental_path_taken(ingested):
     raw = m1["raw"]
     assert raw.get("incremental") is True and raw["new_files"] == 1
     assert raw["rows_in"] == m0["raw"]["rows_out"] + (N_DOCS - SPLIT)
-    # cascade tiers merged selectively too (no full re-derivation)
+    # cascade tiers merged selectively too (no full re-derivation), in
+    # the build's one chain task
     for tier in ("1m", "1h", "1d"):
         assert m1[tier].get("incremental") is True, tier
+        assert m1[tier].get("chained") is True, tier
     st = load_ingest_state(out_inc)
     assert st is not None and len(st["inventory"]) == 2
 
@@ -227,3 +229,102 @@ def test_mutated_input_falls_back_to_full(ray_session):
     run_rollup(str(in_dir), out_clean)
     _assert_same(f"{out}/tier=1m/points", f"{out_clean}/tier=1m/points",
                  ["source", "bucket"])
+
+
+def _build_append_ingest(base: Path, cfg, appended=((SPLIT, N_DOCS),),
+                         before_ingest=None, **kw):
+    """Build over the docs before the first ``appended`` slice, append
+    each slice as a new file, ingest them (after ``before_ingest(out)``);
+    then build the whole input from scratch. Returns the ingest's
+    metrics and both output dirs."""
+    src = pq.read_table(f"{ensure_token_table(N_DOCS)}/part-00000.parquet")
+    shutil.rmtree(base, ignore_errors=True)
+    in_dir = base / "in"
+    first = [(0, appended[0][0])]
+    _split_input(src, in_dir, first)
+    out, out_full = str(base / "out"), str(base / "out_full")
+    run_rollup(str(in_dir), out, cfg=cfg, **kw)
+    _split_input(src, in_dir, first + list(appended))
+    if before_ingest is not None:
+        before_ingest(out)
+    m = run_rollup_incremental(str(in_dir), out, cfg=cfg, **kw)
+    run_rollup(str(in_dir), out_full, cfg=cfg, **kw)
+    return m, out, out_full
+
+
+def _assert_tiers_same(out, out_full, tiers):
+    for tier in tiers:
+        _assert_same(f"{out}/tier={tier}/points",
+                     f"{out_full}/tier={tier}/points", ["source", "bucket"])
+        _assert_same(f"{out}/tier={tier}/blobs",
+                     f"{out_full}/tier={tier}/blobs", ["source", "segment"])
+
+
+def test_ingest_without_chain_merges_each_tier_by_shuffle(ray_session,
+                                                          monkeypatch):
+    """With no prior tier under CHAIN_BYTES, every coarse tier merges by
+    its own selective shuffle (_selective_tier_merge, gap-filled with
+    seeds for the touched groups only) and still equals a full
+    recompute at every tier."""
+    from feasts_ray.config import RollupConfig
+    from feasts_ray.pipelines import rollup_pipeline
+
+    monkeypatch.setattr(rollup_pipeline, "CHAIN_BYTES", 0)
+    cfg = RollupConfig(segment_points=64, points_partition_segs=4)
+    m, out, out_full = _build_append_ingest(BASE / "no_chain", cfg)
+    for tier in ("raw", "1m", "1h", "1d"):
+        assert m[tier].get("incremental") is True, tier
+        assert "chained" not in m[tier], tier
+    _assert_tiers_same(out, out_full, ("raw", "1m", "1h", "1d"))
+
+
+def test_gap_filled_first_tier_recomputes(ray_session):
+    """A gap-filled first tier is not merged: ingest falls back to the
+    full recompute, which equals a from-scratch build."""
+    from feasts_ray.config import TIERS, RollupConfig, Tier
+
+    cfg = RollupConfig(tiers=(Tier("raw", 1, gap_fill=True), *TIERS[1:]))
+    m, out, out_full = _build_append_ingest(BASE / "gap_raw", cfg)
+    for tier in ("raw", "1m", "1h", "1d"):
+        assert "incremental" not in m[tier], tier
+    _assert_tiers_same(out, out_full, ("raw", "1m", "1h", "1d"))
+
+
+@pytest.mark.parametrize("appended, merged", [
+    ([(N_DOCS, N_DOCS)], False),
+    ([(SPLIT, SPLIT), (SPLIT, N_DOCS)], True),
+], ids=["only_empty", "empty_beside_rows"])
+def test_appended_empty_file(ray_session, appended, merged):
+    """An appended file with no rows adds no partials. Alone, it leaves
+    nothing to merge: ingest falls back to the full recompute instead of
+    failing on the empty delta. Beside a non-empty file, the ingest
+    merges that one. Either way every tier equals a from-scratch build."""
+    m, out, out_full = _build_append_ingest(
+        BASE / f"empty{len(appended)}", None, appended=appended)
+    for tier in ("raw", "1m", "1h", "1d"):
+        assert (m[tier].get("incremental") is True) == merged, tier
+    _assert_tiers_same(out, out_full, ("raw", "1m", "1h", "1d"))
+
+
+def test_delta_larger_than_stored_tiers_merges_by_shuffle(ray_session,
+                                                          monkeypatch):
+    """The ingest's chain-or-shuffle test weighs what the chain would
+    load (the re-bucketed delta plus the touched partitions), not the
+    stored tier: with every stored tier under CHAIN_BYTES but a delta
+    far larger than the store, no coarse tier chains, and every tier
+    still equals a full recompute."""
+    from feasts_ray.pipelines import rollup_pipeline
+    from feasts_ray.state.checkpoint import dir_bytes
+
+    def fit_store(out):
+        monkeypatch.setattr(rollup_pipeline, "CHAIN_BYTES", 1 + max(
+            dir_bytes(Path(out) / f"tier={t}" / "points")
+            for t in ("raw", "1m", "1h", "1d")))
+
+    m, out, out_full = _build_append_ingest(
+        BASE / "big_delta", None, appended=[(300, N_DOCS)],
+        before_ingest=fit_store)
+    for tier in ("raw", "1m", "1h", "1d"):
+        assert m[tier].get("incremental") is True, tier
+        assert "chained" not in m[tier], tier
+    _assert_tiers_same(out, out_full, ("raw", "1m", "1h", "1d"))

@@ -22,10 +22,10 @@ import ray, sys
 ray.init(address="local", num_cpus=4, include_dashboard=False, logging_level="ERROR")
 sys.path.insert(0, {repo!r})
 from feasts_ray.synth import ensure_token_table
+from feasts_ray.pipelines.incremental import run_rollup_incremental
 from feasts_ray.pipelines.rollup_pipeline import run_rollup
 {hook}
-path = ensure_token_table(12000)
-run_rollup(path, {out!r}, token_features={feats}, token_archive={feats})
+{call}
 print("DONE")
 ray.shutdown()
 """
@@ -45,12 +45,17 @@ ckpt.save_manifest = _save_then_die
 
 
 def _run_job(out: str, kill_after: float | None = None,
-             feats: bool = False, hook: str = "") -> bool:
-    """Run the rollup job in a subprocess; optionally SIGKILL it.
-    Returns True if the job completed."""
+             feats: bool = False, hook: str = "", fn: str = "run_rollup",
+             input_path: str | None = None) -> bool:
+    """Run ``fn`` (run_rollup or run_rollup_incremental) over the 12k-doc
+    synth table or ``input_path`` in a subprocess; optionally SIGKILL
+    it. Returns True if the job completed."""
+    path = ("ensure_token_table(12000)" if input_path is None
+            else repr(input_path))
+    call = (f"{fn}({path}, {out!r}, token_features={feats}, "
+            f"token_archive={feats})")
     p = subprocess.Popen([sys.executable, "-c",
-                          JOB.format(repo=str(REPO), out=out, feats=feats,
-                                     hook=hook)],
+                          JOB.format(repo=str(REPO), hook=hook, call=call)],
                          stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
                          text=True)
     if kill_after is None:
@@ -129,6 +134,50 @@ def test_kill_after_1m_restarts_chain_at_1h(tmp_path):
     for tier in ("tier=1h", "tier=1d"):
         got = _points_bytes(out, tier)
         assert got and got == _points_bytes(ref_out, tier), tier
+
+
+def _manifest(out: str, tier: str) -> dict:
+    return json.loads((Path(out) / f"tier={tier}" / "_CHECKPOINT.json")
+                      .read_text())
+
+
+@pytest.mark.slow
+def test_kill_ingest_after_1m_rederives_1h_and_1d(tmp_path):
+    """Ingest merges 1m, 1h and 1d in one chain task and saves their
+    manifests after it, in tier order. An ingest killed right after the
+    1m manifest resumes with raw and 1m as they are (not recomputed) and
+    re-derives 1h and 1d from the merged 1m; every tier then equals a
+    full recompute over the whole input."""
+    import pyarrow.parquet as pq
+
+    from feasts_ray.synth import ensure_token_table
+
+    src = pq.read_table(f"{ensure_token_table(12000)}/part-00000.parquet")
+    in_dir = tmp_path / "in"
+    in_dir.mkdir()
+    pq.write_table(src.slice(0, 8000), in_dir / "part-00000.parquet")
+    out, ref_out = str(tmp_path / "out"), str(tmp_path / "ref")
+    assert _run_job(out, input_path=str(in_dir)), "initial build failed"
+    pq.write_table(src.slice(8000), in_dir / "part-00001.parquet")
+    assert not _run_job(out, hook=KILL_AFTER_1M, fn="run_rollup_incremental",
+                        input_path=str(in_dir)), "kill hook did not fire"
+    killed = {t: _manifest(out, t) for t in ("raw", "1m")}
+    assert killed["raw"]["incremental"] is True
+    assert killed["1m"]["incremental"] is True and killed["1m"]["chained"]
+    assert not (Path(out) / "tier=1h" / "_CHECKPOINT.json").exists()
+
+    assert _run_job(out, fn="run_rollup_incremental",
+                    input_path=str(in_dir)), "resumed ingest failed"
+    for t in ("raw", "1m"):
+        assert _manifest(out, t)["completed_at"] == killed[t]["completed_at"]
+    for t in ("1h", "1d"):
+        m = _manifest(out, t)
+        assert m["chained"] is True and "incremental" not in m, t
+    assert _run_job(ref_out, input_path=str(in_dir)), "reference build failed"
+    ref, got = _points(ref_out), _points(out)
+    assert set(ref) == set(got) == {"tier=raw", "tier=1m", "tier=1h", "tier=1d"}
+    for tier in ref:
+        pd.testing.assert_frame_equal(got[tier], ref[tier], check_exact=True)
 
 
 @pytest.mark.slow

@@ -272,3 +272,32 @@ def test_combiner_packs_any_bucket_range_or_raises():
                      "n_tok": [1, 1, 1]})
     with pytest.raises(ValueError, match="overflow"):
         partial_rollup_batch(wide, unit_s=1)
+
+
+def test_null_measure_value_raises_named_error():
+    """A null (or NaN) measure value has no exact integer partial: both
+    combiners raise a ValueError naming the column instead of reading it
+    as int64 garbage (count 3, sum -2^63 + 12, min -2^63 on this probe).
+    Batches without nulls keep their exact output."""
+    from feasts_ray.pipelines.events import _partial_batch
+    from feasts_ray.stages.rollup import partial_rollup_batch
+
+    probe = pa.table({"source": ["a", "a", "a"], "ts_s": [0, 1, 2],
+                      "n_tok": pa.array([5, None, 7], pa.int64())})
+    with pytest.raises(ValueError, match="'n_tok'"):
+        partial_rollup_batch(probe, unit_s=60)
+    clean = probe.set_column(2, "n_tok", pa.array([5, 0, 7], pa.int64()))
+    assert partial_rollup_batch(clean, unit_s=60).to_pylist() == [
+        {"source": "a", "bucket": 0, "count": 3, "sum": 12, "min": 0,
+         "max": 7}]
+
+    measures = (("", "value", 100.0),)
+    ts = pa.array([0, 10**6], pa.timestamp("us"))
+    for bad in ([1.25, None], [1.25, float("nan")]):
+        ev = pa.table({"k": ["a", "a"], "ts": ts, "value": bad})
+        with pytest.raises(ValueError, match="'value'"):
+            _partial_batch(ev, 60, "k", "ts", measures)
+    ev = pa.table({"k": ["a", "a"], "ts": ts, "value": [1.25, 2.5]})
+    assert _partial_batch(ev, 60, "k", "ts", measures).to_pylist() == [
+        {"k": "a", "bucket": 0, "count": 2, "sum": 375, "min": 125,
+         "max": 250}]
