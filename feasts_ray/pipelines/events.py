@@ -222,9 +222,11 @@ def rollup_table_ingest(
     ``rollup_table``."""
     from ..stages.tier_kernel import run_tier
 
+    # materialized (points-sized): a lazy ``old`` still holding its own
+    # sort stalls Ray's executor on the union in a 1-CPU session
     old = old_points.map_batches(_points_to_partials_batch,
                                  batch_format="pyarrow",
-                                 fn_kwargs={"key_col": key_col})
+                                 fn_kwargs={"key_col": key_col}).materialize()
     new = ray.data.read_parquet(
         new_path, columns=[key_col, ts_col, value_col]
     ).map_batches(

@@ -19,15 +19,13 @@ span table updates from the prior run's sidecar plus the delta. A
 gap-filled first tier is not merged: appended data moves its dense
 domain, so it takes the full-recompute path.
 
-The raw tier merges with one Ray shuffle (``_selective_tier_merge``).
-The coarse tiers (1m -> 1h -> 1d) merge in the build's engine: one
-``_coarse_chain`` task runs ``cascade_chain`` over the delta re-bucketed
-to 1m, reading the stored points of the touched partitions, when that
-input is under CHAIN_BYTES; a larger one (a big delta, or a store whose
-touched partitions are big) merges tier by tier with the selective
-shuffle, as the build keeps ``run_tier`` for a big prior tier. Only
-the delta's footprint (per key and first-tier segment: min and max
-bucket) reaches the driver.
+Every tier merges in the build's engine: when the delta's raw partials
+plus the stored points of the touched partitions are under CHAIN_BYTES,
+one ``_coarse_chain`` task runs ``cascade_chain`` over them from the raw
+tier on, so an ingest is one ``_delta_block`` map plus that task, with
+no shuffle. A tier before the point where the input fits merges by its
+own selective shuffle. Only the delta's footprint (per key and
+first-tier segment: min and max bucket) reaches the driver.
 Coarse merges are exact because integer aggregation is associative:
 old-tier-points-as-partials + the delta's re-bucketed raw partials ==
 re-derivation from the merged raw tier, bit-for-bit. Gap-filled tiers
@@ -95,24 +93,21 @@ def save_ingest_state(out_dir: str | Path, inventory: list, lineage: str) -> Non
         "inventory": inventory, "lineage": lineage, "saved_at": time.time()})
 
 
-@ray.remote(num_returns=2)
-def _delta_block(block: pa.Table, cfg: RollupConfig, unit_s: int):
-    """One block of the delta's raw partials -> ((footprint, bytes), the
-    block re-bucketed to ``unit_s``), or (None, None) for a block with
-    no rows. The footprint holds each (key, first-tier segment)'s min
-    (``bucket``) and max (``hi``) bucket: the per-key spans, and the
-    touched groups of every tier, whose segments nest whole first-tier
-    segments."""
+@ray.remote
+def _delta_block(block: pa.Table, cfg: RollupConfig):
+    """One block of the delta's raw partials -> its footprint, or None
+    for a block with no rows. The footprint holds each (key, first-tier
+    segment)'s min (``bucket``) and max (``hi``) bucket: the per-key
+    spans, and the touched groups of every tier, whose segments nest
+    whole first-tier segments."""
     if not block.num_rows:
-        return None, None
+        return None
     key = cfg.series_key
     seg = int64s(block["bucket"]) // (cfg.segment_points * cfg.tiers[0].unit_s)
-    foot = (block.select([key, "bucket"]).append_column("seg", pa.array(seg))
+    return (block.select([key, "bucket"]).append_column("seg", pa.array(seg))
             .group_by([key, "seg"]).aggregate([("bucket", "min"),
                                                ("bucket", "max")])
             .rename_columns([key, "seg", "bucket", "hi"]))
-    coarse = cascade_batch(block, unit_s, cfg.measures, key)
-    return (foot, coarse.nbytes), coarse
 
 
 def _concat_blocks(refs: list) -> pa.Table:
@@ -148,19 +143,19 @@ def _selective_tier_merge(
     merge_in = delta_partials
     untouched = None
     if tpaths:
-        old_touched = (_sized_read(tpaths, part_cols, touched_bytes)
-                       .map_batches(filter_touched,
-                                    batch_format="pyarrow",
-                                    fn_kwargs=dict(fk, keep_touched=True)))
-        # rows in touched partitions whose (key, segment) group the
-        # delta does NOT touch: stream through to the rewrite of their
-        # partition, bypassing the shuffle
-        untouched = (_sized_read(tpaths, part_cols + list(cfg.mean_cols),
-                                 touched_bytes)
-                     .map_batches(filter_touched,
-                                  batch_format="pyarrow",
-                                  fn_kwargs=dict(fk, keep_touched=False)))
-        merge_in = old_touched.union(merge_in)
+        # one read of the touched partitions, split two ways: the touched
+        # groups' points re-enter the kernel as partials; the rest of
+        # their partitions stream through to the rewrite, bypassing the
+        # shuffle
+        stored = _sized_read(tpaths, part_cols + list(cfg.mean_cols),
+                             touched_bytes).materialize()
+        untouched = stored.map_batches(
+            filter_touched, batch_format="pyarrow",
+            fn_kwargs=dict(fk, keep_touched=False))
+        merge_in = stored.map_batches(
+            filter_touched, batch_format="pyarrow",
+            fn_kwargs=dict(fk, keep_touched=True)
+        ).select_columns(part_cols).union(merge_in)
     gap_fill = cfg.gap_fill and tier.gap_fill
     merged = run_tier(
         merge_in, tier.name, tier.unit_s, cfg.segment_points,
@@ -290,20 +285,17 @@ def run_rollup_incremental(
     t0 = time.perf_counter()
 
     # ---- scan ONLY the new files: the delta's raw partials, and per
-    # block its footprint and its partials re-bucketed to the first
-    # coarse tier; only the footprints reach the driver
+    # block its footprint; only the footprints reach the driver
     ds_new = raw_partials(_sized_read(
         new_paths, ["doc_id", *cfg.value_cols, cfg.series_key], new_bytes),
         cfg).materialize()  # delta-sized
-    unit_s = (cfg.tiers[1:] or cfg.tiers)[0].unit_s
-    blocks = [_delta_block.remote(b, cfg, unit_s)
-              for b in ds_new.to_arrow_refs()]
-    heads = ray.get([h for h, _ in blocks])
-    coarse = [c for h, (_, c) in zip(heads, blocks) if h is not None]
-    if not coarse:  # appended files with no rows: nothing to merge
+    refs = ds_new.to_arrow_refs()
+    feet = ray.get([_delta_block.remote(b, cfg) for b in refs])
+    # a block with no rows (an appended empty file) may lack the schema
+    delta = [b for b, f in zip(refs, feet) if f is not None]
+    if not delta:  # appended files with no rows: nothing to merge
         return _full()
-    foot = pa.concat_tables([h[0] for h in heads if h is not None])
-    delta_bytes = sum(h[1] for h in heads if h is not None)
+    foot = pa.concat_tables([f for f in feet if f is not None])
     # spans update is O(delta) too: merge the prior run's sidecar with
     # the delta's per-key spans instead of rescanning all points
     spans = dict(prior_spans)
@@ -320,16 +312,16 @@ def run_rollup_incremental(
     # ---- every tier merges the delta's raw partials, re-bucketed to it
     # (integer aggregation is associative, so old-tier-points +
     # delta-partials == re-derivation from the merged raw tier
-    # bit-for-bit). Only the (key, segment) groups the delta touches
-    # re-enter the kernel. The raw tier merges by its own selective
-    # shuffle; from the first coarse tier on whose chain input (the
-    # re-bucketed delta plus the touched partitions of it and the tiers
-    # after it) fits, one ``_coarse_chain`` task merges the rest, and a
-    # coarse tier before that point shuffles too. Merging stops at the
+    # bit-for-bit); only the (key, segment) groups the delta touches
+    # re-enter the kernel. From the first tier k whose chain input fits
+    # (the delta's rows plus the stored rows of the touched partitions of
+    # tier k and after, in Arrow bytes at the delta's width), one
+    # ``_coarse_chain`` task merges the rest: for a delta-sized ingest,
+    # every tier. A tier before k merges by its own selective shuffle
+    # (every tier, for a delta over CHAIN_BYTES). Merging stops at the
     # first tier without a lineage-valid prior checkpoint or with an
     # unpartitioned layout (nothing mutated): it and the tiers after it
-    # are left lineage-stale and re-derive in the final run_rollup pass
-    # below — never a silent partial merge.
+    # re-derive in the final run_rollup pass — never a silent partial merge.
     merge = [raw_tier]
     for tier in cfg.tiers[1:]:
         if not ckpt.is_complete(_tier_dirs(out_dir, tier.name)[0].parent,
@@ -343,17 +335,20 @@ def run_rollup_incremental(
             prior_spans if cfg.gap_fill and tier.gap_fill else None, spans)
         parts.append((touched, _touched_files(
             _tier_dirs(out_dir, tier.name)[0], touched, cfg)))
-    prev_dir = input_path
+    n_delta = ds_new.count()
+    width = ds_new.size_bytes() / n_delta
+    stored_rows = [_input_rows(files) if files else 0 for _, files in parts]
+    # the next tier's rows_in and input (the raw tier's: the new files)
+    head = {"rows_in": rows_in, "input": input_path,
+            "new_files": len(new_paths)}
     for k, tier in enumerate(merge):
-        if k and _chain_fits(delta_bytes + sum(
-                os.path.getsize(f) for _, files in parts[k:] for f in files)):
-            _run_chain(partial(_concat_blocks, coarse), out_dir, cfg,
-                       merge[k:], merge[k - 1].name, spans, encode,
-                       new_lineage, parts[k:], incremental=True)
+        if _chain_fits(width * (n_delta + sum(stored_rows[k:]))):
+            _run_chain(partial(_concat_blocks, delta), out_dir, cfg,
+                       merge[k:], head, spans, encode, new_lineage,
+                       parts[k:], incremental=True)
             break
         p_dir, b_dir = _tier_dirs(out_dir, tier.name)
-        part = ds_new if not k else ray.data.from_arrow_refs(
-            coarse).map_batches(
+        part = ds_new if not k else ds_new.map_batches(
             cascade_batch, batch_format="pyarrow",
             fn_kwargs={"unit_s": tier.unit_s, "measures": cfg.measures,
                        "key_col": cfg.series_key})
@@ -361,11 +356,11 @@ def run_rollup_incremental(
                                      parts[k][0], encode=encode, spans=spans):
             break
         m = _save_tier_manifest(
-            out_dir, tier.name, lineage=new_lineage, rows_in=rows_in,
-            wall_s=time.perf_counter() - t0, input=str(prev_dir),
-            n_sources=len(spans), incremental=True,
-            **({} if k else {"new_files": len(new_paths)}))
-        prev_dir, rows_in, t0 = p_dir, m["rows_out"], time.perf_counter()
+            out_dir, tier.name, lineage=new_lineage,
+            wall_s=time.perf_counter() - t0, n_sources=len(spans),
+            incremental=True, **head)
+        head = {"rows_in": m["rows_out"], "input": str(p_dir)}
+        t0 = time.perf_counter()
 
     # ---- per-doc stages: delta over the new files only
     if token_features:

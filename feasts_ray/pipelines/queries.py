@@ -1646,15 +1646,28 @@ def q_sessionize(sf_dir: str):
 
 
 ALL_QUERIES = {
-    # Never-yet-driver-sampled queries sort FIRST (the driver caps its
-    # CORRECTNESS sample at ~50 of the registered queries, taking them
-    # in registry order): round 5 adds the Gopher repetition signals,
-    # rational tf-idf, per-group quantile filtering, the grouped
-    # (shuffle) physical plans of the as-of and interval joins (sharing
-    # their broadcast siblings' oracles so the driver pins the two
-    # plans independently), multi-measure rollups, and three corpus
-    # curation ops; the fourth session adds percent-rank scoring,
-    # sequence chunking, n-gram decontamination and rolling quantiles.
+    # The driver's CORRECTNESS sample takes ~50 queries in registry
+    # order. First: word_freq_topk_mg, never sampled yet, and the ten
+    # queries with only one green round (VERDICT r05 #2).
+    "word_freq_topk_mg": q_word_freq_topk_mg,
+    "asof_join_1h": q_asof_join_1h,
+    "decontaminate": q_decontaminate,
+    "embedding_dedup_docs": q_embedding_dedup_docs,
+    "ewm_1h": q_ewm_1h,
+    "ngram_jaccard_dup_pairs": q_ngram_jaccard_dup_pairs,
+    "rollup_1m_incremental": q_rollup_1m_incremental,
+    "sample_stratified": q_sample_stratified,
+    "sessionize": q_sessionize,
+    "value_quantiles": q_value_quantiles,
+    "word_freq_topk": q_word_freq_topk,
+    # Next, the queries added in rounds 4 and 5: round 5 adds the
+    # Gopher repetition signals, rational tf-idf, per-group quantile
+    # filtering, the grouped (shuffle) physical plans of the as-of and
+    # interval joins (sharing their broadcast siblings' oracles so the
+    # driver pins the two plans independently), multi-measure rollups,
+    # and three corpus curation ops; the fourth session adds
+    # percent-rank scoring, sequence chunking, n-gram decontamination
+    # and rolling quantiles.
     "percent_rank_by_lang": q_percent_rank_by_lang,
     "chunk_words_64": q_chunk_words_64,
     "ngram_decontaminate": q_ngram_decontaminate,
@@ -1740,17 +1753,6 @@ ALL_QUERIES = {
     "arch_lm_1h": q_arch_lm_1h,
     "acf_table_1h": q_acf_table_1h,
     "pacf_table_1h": q_pacf_table_1h,
-    "asof_join_1h": q_asof_join_1h,
-    "sessionize": q_sessionize,
-    "ewm_1h": q_ewm_1h,
-    "value_quantiles": q_value_quantiles,
-    "word_freq_topk": q_word_freq_topk,
-    "word_freq_topk_mg": q_word_freq_topk_mg,
-    "decontaminate": q_decontaminate,
-    "sample_stratified": q_sample_stratified,
-    "rollup_1m_incremental": q_rollup_1m_incremental,
-    "embedding_dedup_docs": q_embedding_dedup_docs,
-    "ngram_jaccard_dup_pairs": q_ngram_jaccard_dup_pairs,
     "seasonal_subseries_1h": q_seasonal_subseries_1h,
     "seasonal_overlay_1h": q_seasonal_overlay_1h,
     "lag_pairs_1h": q_lag_pairs_1h,

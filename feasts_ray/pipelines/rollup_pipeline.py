@@ -13,9 +13,10 @@ Dataflow (SURVEY.md §7.1, north rule):
     reads the prior tier's points once and runs cascade + seeds + the
     same kernel tier after tier in memory, each tier re-bucketing the
     previous tier's input, writing each tier's points and blobs. Ingest
-    runs the same task over the delta re-bucketed to 1m, merging into
-    the stored points of the touched (key, segment) groups, when the
-    delta plus those partitions are under CHAIN_BYTES (incremental.py)
+    runs the same task from the raw tier on over the delta's raw
+    partials, merging into the stored points of the touched (key,
+    segment) groups, when the delta plus those partitions are under
+    CHAIN_BYTES (incremental.py)
   _CHECKPOINT.json per tier, in tier order: a resume restarts the chain
   at the first incomplete tier
   fused doc stage (features + archive) runs BESIDE the tiers: built on
@@ -299,8 +300,8 @@ def run_token_features_and_archive(docs: "ray.data.Dataset", input_path: str,
 
 def _chain_fits(nbytes: int) -> bool:
     """Whether the tiers from here on run as one ``_coarse_chain`` task:
-    the ``nbytes`` it loads (a build: the prior tier's points; an
-    ingest: the delta plus the touched partitions) are under CHAIN_BYTES."""
+    the ``nbytes`` it loads (a build: the prior tier's points on disk; an
+    ingest: delta and touched rows in Arrow bytes) are under CHAIN_BYTES."""
     return nbytes < CHAIN_BYTES
 
 
@@ -339,14 +340,16 @@ def _swap_parts(tmp_points: Path, points_dir: Path) -> None:
 @ray.remote
 def _coarse_chain(load, out_dir: str, tiers, cfg: RollupConfig,
                   spans: dict, encode: bool, stored=None) -> list[float]:
-    """Every remaining coarse tier in one task: run ``cascade_chain`` over
-    the partials ``load()`` returns and write each tier's points (the
+    """Tiers back to back in one task: run ``cascade_chain`` over the
+    partials ``load()`` returns and write each tier's points (the
     seg_part layout of ``write_tier_points``) and blobs. A build
-    (``stored`` None) rewrites the tiers whole. An ingest passes, per
-    tier, the touched group ids and the files of the partitions holding
-    them: those partitions are rebuilt in a tmp dir and swapped in,
-    touched blob files overwritten in place. Returns each tier's wall;
-    the driver saves the manifests, in tier order."""
+    (``stored`` None) rewrites the coarse tiers whole from the prior
+    tier's points. An ingest loads the delta's raw partials and can
+    start at the raw tier; it passes, per tier, the touched group ids
+    and the files of the partitions holding them: those partitions are
+    rebuilt in a tmp dir and swapped in, touched blob files overwritten
+    in place. Returns each tier's wall; the driver saves the manifests,
+    in tier order."""
     dirs = [_tier_dirs(out_dir, t.name) for t in tiers]
     if stored is None:
         _clear(*(d for pair in dirs for d in pair))
@@ -371,12 +374,14 @@ def _coarse_chain(load, out_dir: str, tiers, cfg: RollupConfig,
     return walls
 
 
-def _run_chain(load, out_dir: str, cfg: RollupConfig, tiers, prev: str,
+def _run_chain(load, out_dir: str, cfg: RollupConfig, tiers, head: dict,
                spans: dict, encode: bool, lineage: str, stored=None,
                **fields) -> dict[str, dict]:
-    """Run ``tiers`` (the ones after tier ``prev``) as one
-    ``_coarse_chain`` task. Their manifests are invalidated before and
-    saved after, in tier order, so a crash re-derives the rest."""
+    """Run ``tiers`` as one ``_coarse_chain`` task. Their manifests are
+    invalidated before and saved after, in tier order, so a crash
+    re-derives the rest. ``head`` holds the first tier's ``rows_in`` and
+    ``input`` (an ingest's raw tier adds ``new_files``); each later tier
+    takes them from the tier saved before it."""
     for t in tiers:
         ckpt.manifest_path(_tier_dirs(out_dir, t.name)[0].parent).unlink(
             missing_ok=True)
@@ -384,13 +389,11 @@ def _run_chain(load, out_dir: str, cfg: RollupConfig, tiers, prev: str,
                                          encode, stored))
     metrics = {}
     for t, wall in zip(tiers, walls):
-        prev_dir = _tier_dirs(out_dir, prev)[0]
-        metrics[t.name] = _save_tier_manifest(
-            out_dir, t.name, lineage=lineage, wall_s=wall,
-            rows_in=ckpt.load_manifest(prev_dir.parent)["rows_out"],
-            chained=True, input=str(prev_dir), n_sources=len(spans),
-            **fields)
-        prev = t.name
+        m = metrics[t.name] = _save_tier_manifest(
+            out_dir, t.name, lineage=lineage, wall_s=wall, chained=True,
+            n_sources=len(spans), **head, **fields)
+        head = {"rows_in": m["rows_out"],
+                "input": str(_tier_dirs(out_dir, t.name)[0])}
     return metrics
 
 
@@ -425,8 +428,10 @@ def _run_tiers(input_path: str, out_dir: str, cfg: RollupConfig,
                 ckpt.dir_bytes(prev_points)):
             metrics.update(_run_chain(
                 partial(_read_partials, str(prev_points), cfg), out_dir,
-                cfg, cfg.tiers[k:], cfg.tiers[k - 1].name, spans or {},
-                encode, lineage))
+                cfg, cfg.tiers[k:],
+                {"rows_in": metrics[cfg.tiers[k - 1].name]["rows_out"],
+                 "input": str(prev_points)},
+                spans or {}, encode, lineage))
             break
         _clear(points_dir, blobs_dir)
         t0 = time.perf_counter()

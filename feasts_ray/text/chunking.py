@@ -76,6 +76,19 @@ def chunk_list_column(ds: "ray.data.Dataset", list_col: str = "tokens",
     return ds.map_batches(_chunk, batch_format="pyarrow")
 
 
+def block_offset(starts: np.ndarray, offsets: np.ndarray, first) -> int:
+    """Offset of the sorted block whose first key is ``first``, from the
+    per-block offset table (``starts`` ascending). The ops that use it
+    map with ``batch_size=None``, one batch per block; a batch that
+    starts inside a block matches no block's first key and raises."""
+    i = int(np.searchsorted(starts, first, side="left"))
+    if i == len(starts) or starts[i] != first:
+        raise ValueError(
+            f"block_offset: batch starts at key {first!r}, which is no "
+            "block's first key; the batch is not a whole sorted block")
+    return offsets[i]
+
+
 def pack_stream_assign(ds: "ray.data.Dataset", count_col: str,
                        id_col: str = "doc_id", seq_len: int = 512,
                        ) -> "ray.data.Dataset":
@@ -122,10 +135,7 @@ def pack_stream_assign(ds: "ray.data.Dataset", count_col: str,
         min_ids, offsets = ray.get(bounds_ref)
         ids = batch[id_col].to_numpy(zero_copy_only=False)
         c = batch[count_col].to_numpy(zero_copy_only=False).astype(np.int64)
-        if len(ids) == 0:
-            off = np.int64(0)
-        else:
-            off = offsets[np.searchsorted(min_ids, ids.min(), side="right") - 1]
+        off = block_offset(min_ids, offsets, ids[0]) if len(ids) else 0
         cum_end = off + np.cumsum(c)
         cum_before = cum_end - c
         nz = c > 0

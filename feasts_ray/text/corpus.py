@@ -985,6 +985,7 @@ def deterministic_shuffle_rank(ds: "ray.data.Dataset",
     into global ranks. SQL mirror: ROW_NUMBER() OVER (ORDER BY
     <md5-LE expr>, id) - 1."""
     from ..dedup.hashing import hash_words_arrow
+    from .chunking import block_offset
 
     def _key(batch: pa.Table) -> pa.Table:
         ids = batch[id_col].combine_chunks()
@@ -1020,11 +1021,10 @@ def deterministic_shuffle_rank(ds: "ray.data.Dataset",
         if n == 0:
             return pa.table({id_col: batch[id_col],
                              out_col: pa.array([], type=pa.int64())})
-        sk0 = batch["_sk"][0].as_py()
         # block identity: sorted blocks have unique (min_sk, min_id);
         # min_sk alone suffices unless two blocks share their first
         # hash, which needs a 64-bit collision AND a block split there
-        off = offsets[np.searchsorted(keys, np.uint64(sk0), side="left")]
+        off = block_offset(keys, offsets, np.uint64(batch["_sk"][0].as_py()))
         return pa.table({
             id_col: batch[id_col],
             out_col: pa.array(off + np.arange(n, dtype=np.int64),

@@ -745,6 +745,23 @@ class TestPackStreamAssign:
         want = np.cumsum(counts) - np.array(counts)
         assert (got["cum_before"].to_numpy() == want).all()
 
+    @pytest.mark.parametrize("dtype", [np.int64, np.uint64],
+                             ids=["min_id", "min_sk"])
+    def test_split_block_raises(self, dtype):
+        """The offset lookup of pack_stream_assign and
+        deterministic_shuffle_rank keys on a batch's first key: a whole
+        sorted block finds its offset, and a batch that is the tail of a
+        split block raises instead of taking its block's offset."""
+        from feasts_ray.text.chunking import block_offset
+
+        blocks = [np.arange(0, 5, dtype=dtype), np.arange(5, 12, dtype=dtype)]
+        starts = np.array([b[0] for b in blocks], dtype=dtype)
+        offsets = np.array([0, 5], dtype=np.int64)
+        assert [block_offset(starts, offsets, b[0]) for b in blocks] == [0, 5]
+        for tail in (blocks[0][3:], blocks[1][1:]):
+            with pytest.raises(ValueError, match="not a whole sorted block"):
+                block_offset(starts, offsets, tail[0])
+
 
 class TestHistogramInt:
     def test_matches_duckdb(self, docs_ds):

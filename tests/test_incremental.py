@@ -71,9 +71,9 @@ def test_incremental_path_taken(ingested):
     raw = m1["raw"]
     assert raw.get("incremental") is True and raw["new_files"] == 1
     assert raw["rows_in"] == m0["raw"]["rows_out"] + (N_DOCS - SPLIT)
-    # cascade tiers merged selectively too (no full re-derivation), in
-    # the build's one chain task
-    for tier in ("1m", "1h", "1d"):
+    # every tier merged selectively (no full re-derivation), in one
+    # chain task
+    for tier in ("raw", "1m", "1h", "1d"):
         assert m1[tier].get("incremental") is True, tier
         assert m1[tier].get("chained") is True, tier
     st = load_ingest_state(out_inc)
@@ -278,6 +278,54 @@ def test_ingest_without_chain_merges_each_tier_by_shuffle(ray_session,
     _assert_tiers_same(out, out_full, ("raw", "1m", "1h", "1d"))
 
 
+def test_ingest_under_chain_bytes_runs_no_shuffle(ray_session, monkeypatch):
+    """A delta-sized ingest merges every tier in the one chain task: it
+    passes with the shuffle merge's ``run_tier`` made to raise, and
+    every tier equals a full recompute."""
+    from feasts_ray.pipelines import incremental
+
+    def no_shuffle(*a, **kw):
+        raise AssertionError("ingest ran a shuffle merge")
+
+    monkeypatch.setattr(incremental, "run_tier", no_shuffle)
+    m, out, out_full = _build_append_ingest(BASE / "no_shuffle", None)
+    for tier in ("raw", "1m", "1h", "1d"):
+        assert m[tier].get("incremental") is True, tier
+        assert m[tier].get("chained") is True, tier
+    _assert_tiers_same(out, out_full, ("raw", "1m", "1h", "1d"))
+
+
+def test_raw_over_chain_bytes_shuffles_raw_and_chains_the_rest(
+        ray_session, monkeypatch):
+    """With CHAIN_BYTES at the weight of a chain from raw, raw's touched
+    partitions push that chain over it and the chain from 1m (the same
+    delta, without them) fits: raw merges by its selective shuffle, its
+    manifest hands rows_out and points dir to the 1m -> 1h -> 1d chain,
+    and every tier equals a full recompute."""
+    from feasts_ray.pipelines import incremental, rollup_pipeline
+
+    weights = []
+
+    def gate_at_raw(nbytes):
+        if not weights:
+            monkeypatch.setattr(rollup_pipeline, "CHAIN_BYTES", nbytes)
+        weights.append(nbytes)
+        return rollup_pipeline._chain_fits(nbytes)
+
+    monkeypatch.setattr(incremental, "_chain_fits", gate_at_raw)
+    m, out, out_full = _build_append_ingest(BASE / "raw_shuffle", None)
+    assert len(weights) == 2 and weights[1] < weights[0]
+    assert m["raw"].get("incremental") is True and "chained" not in m["raw"]
+    assert m["raw"]["new_files"] == 1
+    for tier in ("1m", "1h", "1d"):
+        assert m[tier].get("incremental") is True, tier
+        assert m[tier].get("chained") is True, tier
+    assert m["1m"]["rows_in"] == m["raw"]["rows_out"]
+    assert m["1m"]["input"] == f"{out}/tier=raw/points"
+    assert "new_files" not in m["1m"]
+    _assert_tiers_same(out, out_full, ("raw", "1m", "1h", "1d"))
+
+
 def test_gap_filled_first_tier_recomputes(ray_session):
     """A gap-filled first tier is not merged: ingest falls back to the
     full recompute, which equals a from-scratch build."""
@@ -309,7 +357,7 @@ def test_appended_empty_file(ray_session, appended, merged):
 def test_delta_larger_than_stored_tiers_merges_by_shuffle(ray_session,
                                                           monkeypatch):
     """The ingest's chain-or-shuffle test weighs what the chain would
-    load (the re-bucketed delta plus the touched partitions), not the
+    load (the delta's raw partials plus the touched partitions), not the
     stored tier: with every stored tier under CHAIN_BYTES but a delta
     far larger than the store, no coarse tier chains, and every tier
     still equals a full recompute."""

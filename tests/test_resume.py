@@ -31,17 +31,19 @@ ray.shutdown()
 """
 
 
-# job hook: the driver SIGKILLs itself right after saving the 1m manifest
-KILL_AFTER_1M = """
+# job hook: the driver SIGKILLs itself right after saving the manifest
+# of tier {tier}
+KILL_AFTER = """
 import os, signal
 from feasts_ray.state import checkpoint as ckpt
 _save = ckpt.save_manifest
 def _save_then_die(tier_dir, payload):
     _save(tier_dir, payload)
-    if payload.get("tier") == "1m":
+    if payload.get("tier") == {tier!r}:
         os.kill(os.getpid(), signal.SIGKILL)
 ckpt.save_manifest = _save_then_die
 """
+KILL_AFTER_1M = KILL_AFTER.format(tier="1m")
 
 
 def _run_job(out: str, kill_after: float | None = None,
@@ -141,13 +143,13 @@ def _manifest(out: str, tier: str) -> dict:
                       .read_text())
 
 
-@pytest.mark.slow
-def test_kill_ingest_after_1m_rederives_1h_and_1d(tmp_path):
-    """Ingest merges 1m, 1h and 1d in one chain task and saves their
-    manifests after it, in tier order. An ingest killed right after the
-    1m manifest resumes with raw and 1m as they are (not recomputed) and
-    re-derives 1h and 1d from the merged 1m; every tier then equals a
-    full recompute over the whole input."""
+def _kill_ingest_and_resume(tmp_path, tier: str):
+    """Build over 8k docs, append 4k, run an ingest that SIGKILLs itself
+    right after saving ``tier``'s manifest, then resume it. Returns the
+    manifests of ``tier`` and the tiers before it as the kill left them,
+    and the resumed output dir; asserts that those tiers were not
+    recomputed on resume and that every tier then equals a full build
+    over the whole input."""
     import pyarrow.parquet as pq
 
     from feasts_ray.synth import ensure_token_table
@@ -159,25 +161,52 @@ def test_kill_ingest_after_1m_rederives_1h_and_1d(tmp_path):
     out, ref_out = str(tmp_path / "out"), str(tmp_path / "ref")
     assert _run_job(out, input_path=str(in_dir)), "initial build failed"
     pq.write_table(src.slice(8000), in_dir / "part-00001.parquet")
-    assert not _run_job(out, hook=KILL_AFTER_1M, fn="run_rollup_incremental",
+    assert not _run_job(out, hook=KILL_AFTER.format(tier=tier),
+                        fn="run_rollup_incremental",
                         input_path=str(in_dir)), "kill hook did not fire"
-    killed = {t: _manifest(out, t) for t in ("raw", "1m")}
-    assert killed["raw"]["incremental"] is True
-    assert killed["1m"]["incremental"] is True and killed["1m"]["chained"]
-    assert not (Path(out) / "tier=1h" / "_CHECKPOINT.json").exists()
-
+    tiers = ("raw", "1m", "1h", "1d")
+    kept = tiers[:tiers.index(tier) + 1]
+    killed = {t: _manifest(out, t) for t in kept}
+    nxt = Path(out) / f"tier={tiers[len(kept)]}" / "_CHECKPOINT.json"
+    assert not nxt.exists()
     assert _run_job(out, fn="run_rollup_incremental",
                     input_path=str(in_dir)), "resumed ingest failed"
-    for t in ("raw", "1m"):
+    for t in kept:
         assert _manifest(out, t)["completed_at"] == killed[t]["completed_at"]
-    for t in ("1h", "1d"):
-        m = _manifest(out, t)
-        assert m["chained"] is True and "incremental" not in m, t
     assert _run_job(ref_out, input_path=str(in_dir)), "reference build failed"
     ref, got = _points(ref_out), _points(out)
     assert set(ref) == set(got) == {"tier=raw", "tier=1m", "tier=1h", "tier=1d"}
-    for tier in ref:
-        pd.testing.assert_frame_equal(got[tier], ref[tier], check_exact=True)
+    for t in ref:
+        pd.testing.assert_frame_equal(got[t], ref[t], check_exact=True)
+    return killed, out
+
+
+@pytest.mark.slow
+def test_kill_ingest_after_1m_rederives_1h_and_1d(tmp_path):
+    """Ingest merges every tier in one chain task and saves their
+    manifests after it, in tier order. An ingest killed right after the
+    1m manifest resumes with raw and 1m as they are (not recomputed) and
+    re-derives 1h and 1d from the merged 1m; every tier then equals a
+    full recompute over the whole input."""
+    killed, out = _kill_ingest_and_resume(tmp_path, "1m")
+    assert killed["raw"]["incremental"] is True
+    assert killed["1m"]["incremental"] is True and killed["1m"]["chained"]
+    for t in ("1h", "1d"):
+        m = _manifest(out, t)
+        assert m["chained"] is True and "incremental" not in m, t
+
+
+@pytest.mark.slow
+def test_kill_ingest_after_raw_rederives_1m_1h_and_1d(tmp_path):
+    """The raw twin: an ingest killed right after the raw manifest (the
+    chain task has already rewritten every tier) resumes with raw as it
+    is and re-derives 1m, 1h and 1d from the merged raw points."""
+    killed, out = _kill_ingest_and_resume(tmp_path, "raw")
+    assert killed["raw"]["incremental"] is True and killed["raw"]["chained"]
+    assert killed["raw"]["new_files"] == 1
+    for t in ("1m", "1h", "1d"):
+        m = _manifest(out, t)
+        assert m["chained"] is True and "incremental" not in m, t
 
 
 @pytest.mark.slow
